@@ -31,18 +31,16 @@ object ERGraphBuilder {
   /** Vertices of the graph that touch at least one edge; the complement of
     * `isolatedVertices` below.
     */
-  def connectedVertices(vertices: DataFrame, edges: DataFrame): DataFrame = {
-    val touched = edges.select(col("srcId1").as("id1"), col("srcId2").as("id2"))
-      .union(edges.select(col("dstId1").as("id1"), col("dstId2").as("id2")))
-      .distinct()
-    vertices.join(touched, Seq("id1", "id2"), "left_semi")
-  }
+  def connectedVertices(vertices: DataFrame, edges: DataFrame): DataFrame =
+    vertices.join(touched(edges), Seq("id1", "id2"), "left_semi")
 
   /** Entity pairs with no incident edge — handled by the classifier (§VII-B). */
-  def isolatedVertices(vertices: DataFrame, edges: DataFrame): DataFrame = {
-    val touched = edges.select(col("srcId1").as("id1"), col("srcId2").as("id2"))
+  def isolatedVertices(vertices: DataFrame, edges: DataFrame): DataFrame =
+    vertices.join(touched(edges), Seq("id1", "id2"), "left_anti")
+
+  /** Distinct endpoints of `edges`, as [id1, id2]. */
+  private def touched(edges: DataFrame): DataFrame =
+    edges.select(col("srcId1").as("id1"), col("srcId2").as("id2"))
       .union(edges.select(col("dstId1").as("id1"), col("dstId2").as("id2")))
       .distinct()
-    vertices.join(touched, Seq("id1", "id2"), "left_anti")
-  }
 }

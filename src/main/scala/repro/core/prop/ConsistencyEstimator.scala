@@ -27,8 +27,10 @@ object ConsistencyEstimator {
 
   final case class Consistency(eps1: Double, eps2: Double)
 
-  /** Per initial match and relationship pair, the value-set sizes (n1, n2),
-    * including one-sided rows (n = 0 on the missing side).
+  /** Histogram of value-set sizes over initial matches: for each initial
+    * match (u1, u2) and each (r1, r2) that u1 and u2 both have, the sizes
+    * n1 = |N_{u1}^{r1}| and n2 = |N_{u2}^{r2}|. Pairs where either side lacks
+    * its relationship are not counted.
     * Output: [r1, r2, n1, n2, cnt].
     */
   def degreeHistogram(spark: SparkSession, kb1: KB, kb2: KB, mIn: DataFrame): DataFrame = {
@@ -39,16 +41,12 @@ object ConsistencyEstimator {
     val p = mIn.select("id1", "id2")
     val j1 = p.join(d1, "id1")          // (id1, id2, r1, n1)
     val j2 = p.join(d2, "id2")          // (id1, id2, r2, n2)
-    val both = j1.join(j2, Seq("id1", "id2"))
+    j1.join(j2, Seq("id1", "id2"))
       .groupBy("r1", "r2", "n1", "n2").agg(count(lit(1)).as("cnt"))
-
-    // One-sided mass: for (r1, r2), matches where u1 has r1 but u2 lacks r2.
-    // Derived as per-r totals minus the both-sided totals (driver assembles).
-    both
   }
 
   /** Totals per single relationship over M_in: [r, pairs, sumN]. */
-  private def sideTotals(rels: DataFrame, mIn: DataFrame, idCol: String, mInId: String): DataFrame = {
+  private def sideTotals(rels: DataFrame, mIn: DataFrame, mInId: String): DataFrame = {
     val d = rels.groupBy(col("subj").as(mInId), col("rel").as("r"))
       .agg(count(lit(1)).as("n"))
     mIn.select(mInId).join(d, mInId)
@@ -104,9 +102,9 @@ object ConsistencyEstimator {
                floor: Double = 0.01): Map[(String, String), Consistency] = {
     val obs = observedL(kb1, kb2, mIn, valueMatches.getOrElse(mIn)).collect()
       .map(r => (r.getString(0), r.getString(1), r.getLong(2)))
-    val s1 = sideTotals(kb1.rels, mIn, "subj", "id1").collect()
+    val s1 = sideTotals(kb1.rels, mIn, "id1").collect()
       .map(r => r.getString(0) -> (r.getLong(1), r.getLong(2))).toMap
-    val s2 = sideTotals(kb2.rels, mIn, "subj", "id2").collect()
+    val s2 = sideTotals(kb2.rels, mIn, "id2").collect()
       .map(r => r.getString(0) -> (r.getLong(1), r.getLong(2))).toMap
 
     def clamp(x: Double): Double = math.min(1.0 - floor, math.max(floor, x))

@@ -2,6 +2,7 @@ package repro.core.prop
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
 /** Distant match propagation and inferred-set discovery (§V-C, §VI-B, Alg. 2).
   *
@@ -9,71 +10,73 @@ import org.apache.spark.sql.functions._
   * by the Markov chain rule (Eq. 10) the best lower bound on Pr[m_p|m_q] is
   * exp(−dist(q, p)) over the shortest path, so
   *   inferred(q) = { p : dist(q, p) ≤ ζ = −log τ }.
-  * The paper's Algorithm 2 is a Floyd–Warshall variant over binary trees; at
-  * Spark the same bounded all-pairs reachability is a fixpoint of DataFrame
-  * self-joins: the frontier of ζ-bounded paths is repeatedly extended by one
-  * edge, min-aggregated, and checkpointed to keep lineage bounded.
+  * The paper's Algorithm 2 is a Floyd–Warshall variant; here each source runs
+  * an exact Dijkstra on the driver that stops expanding at ζ, so paths of any
+  * hop count are found. Only edges of length ≤ ζ can lie on such a path. When
+  * every edge source is itself a source, as in `Remp.prepare`, each such edge
+  * is also a one-hop output row, so the collected graph is never larger than
+  * the result the caller collects anyway.
   */
 object DistantPropagation {
 
-  /** Bounded multi-source shortest paths.
+  private type Pair = (Long, Long)
+
+  /** inferred(q) for every source, as [qId1, qId2, pId1, pId2, prob],
+    * including the trivial (q, q, 1) rows, sorted by (qId1, qId2, pId1, pId2).
     *
     * `probEdges`: [srcId1, srcId2, dstId1, dstId2, prob];
     * `sources`:   [id1, id2] — the candidate question set C.
-    * Returns [qId1, qId2, pId1, pId2, dist] for all dist ≤ ζ, including the
-    * trivial (q, q, 0) rows.
+    * The result is a local DataFrame.
     */
-  def boundedDistances(
+  def inferredSets(
       spark: SparkSession,
       probEdges: DataFrame,
       sources: DataFrame,
-      tau: Double,
-      maxIters: Int = 12): DataFrame = {
+      tau: Double): DataFrame = {
+    import spark.implicits._
     val zeta = -math.log(tau) + 1e-12
     val edges = probEdges
       .filter(col("prob") > 0)
       .withColumn("len", -log(col("prob")))
       .filter(col("len") <= zeta)
       .select("srcId1", "srcId2", "dstId1", "dstId2", "len")
-      .cache()
+      .collect()
+      .map(r => ((r.getLong(0), r.getLong(1)), (r.getLong(2), r.getLong(3)), r.getDouble(4)))
+    val srcs = sources.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1)))
 
-    var paths = sources.select(
-      col("id1").as("qId1"), col("id2").as("qId2"),
-      col("id1").as("pId1"), col("id2").as("pId2"),
-      lit(0.0).as("dist"))
-      .localCheckpoint()
+    val adj = edges.groupBy(_._1).view.mapValues(_.map(e => (e._2, e._3))).toMap
+      .withDefaultValue(Array.empty[(Pair, Double)])
 
-    var prevCount = paths.count()
-    var iter = 0
-    var converged = false
-    while (iter < maxIters && !converged) {
-      val extended = paths
-        .join(edges,
-          paths("pId1") === edges("srcId1") && paths("pId2") === edges("srcId2"))
-        .select(col("qId1"), col("qId2"),
-          col("dstId1").as("pId1"), col("dstId2").as("pId2"),
-          (col("dist") + col("len")).as("dist"))
-        .filter(col("dist") <= zeta)
-      paths = paths.union(extended)
-        .groupBy("qId1", "qId2", "pId1", "pId2")
-        .agg(min("dist").as("dist"))
-        .localCheckpoint()
-      val c = paths.count()
-      converged = c == prevCount
-      prevCount = c
-      iter += 1
-    }
-    paths
+    val rows = srcs.distinct.sorted.iterator.flatMap { case q @ (q1, q2) =>
+      boundedDijkstra(adj, q, zeta).iterator.map { case ((p1, p2), dist) =>
+        // StrictMath, like the Spark log() that computed the lengths: the
+        // same bits on every JVM, whatever its Math intrinsics.
+        (q1, q2, p1, p2, StrictMath.exp(-dist))
+      }
+    }.toSeq
+    rows.toDF("qId1", "qId2", "pId1", "pId2", "prob")
   }
 
-  /** inferred(q) for every source, as [qId1, qId2, pId1, pId2, prob]. */
-  def inferredSets(
-      spark: SparkSession,
-      probEdges: DataFrame,
-      sources: DataFrame,
-      tau: Double,
-      maxIters: Int = 12): DataFrame =
-    boundedDistances(spark, probEdges, sources, tau, maxIters)
-      .withColumn("prob", exp(-col("dist")))
-      .drop("dist")
+  /** Shortest distances ≤ `zeta` from `source`, as (vertex, dist) pairs in
+    * vertex order.
+    */
+  private def boundedDijkstra(
+      adj: Map[Pair, Array[(Pair, Double)]], source: Pair, zeta: Double): Array[(Pair, Double)] = {
+    val dist = mutable.HashMap(source -> 0.0)
+    val settled = mutable.HashSet.empty[Pair]
+    val heap = mutable.PriorityQueue((0.0, source))(Ordering.by[(Double, Pair), Double](_._1).reverse)
+    while (heap.nonEmpty) {
+      val (d, u) = heap.dequeue()
+      if (settled.add(u)) {
+        for ((v, len) <- adj(u)) {
+          val nd = d + len
+          if (nd <= zeta && nd < dist.getOrElse(v, Double.PositiveInfinity)) {
+            dist(v) = nd
+            heap.enqueue((nd, v))
+          }
+        }
+      }
+    }
+    dist.toArray.sortBy(_._1)
+  }
 }

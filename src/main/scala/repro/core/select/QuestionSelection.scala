@@ -9,8 +9,8 @@ import scala.collection.mutable
   * The benefit is increasing and submodular (Theorem 2), so the lazy greedy
   * algorithm gives the (1 − 1/e) guarantee. Selection is inherently
   * sequential and operates on the (small) collected inferred sets, so it runs
-  * on the driver — the expensive part, computing inferred(·), is the
-  * distributed Algorithm 2 (see DistantPropagation).
+  * on the driver, as does computing inferred(·) itself (Algorithm 2, see
+  * DistantPropagation).
   */
 object QuestionSelection {
 

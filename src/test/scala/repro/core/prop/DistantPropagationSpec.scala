@@ -1,8 +1,8 @@
 package repro.core.prop
 
-import repro.SparkSpec
+import repro.{PropSpec, SparkSpec}
 
-class DistantPropagationSpec extends SparkSpec {
+class DistantPropagationSpec extends SparkSpec with PropSpec {
   import spark.implicits._
 
   private def edges(rows: (Long, Long, Long, Long, Double)*) =
@@ -83,5 +83,52 @@ class DistantPropagationSpec extends SparkSpec {
         (1L, 101L, 3L, 103L, 0.93)),
       pairs((1L, 101L), (2L, 102L), (3L, 103L)), 0.9)
     collectDists(out).values.foreach(p => assert(p >= 0.9 - 1e-9 && p <= 1.0 + 1e-12))
+  }
+  test("a detour through a stronger vertex reaches beyond it") {
+    // q→a direct is 0.91, but q→b→a is 0.9801; only the detour keeps a→c above τ.
+    val (q, a, b, c) = ((1L, 101L), (2L, 102L), (3L, 103L), (4L, 104L))
+    def e(s: (Long, Long), d: (Long, Long), p: Double) = (s._1, s._2, d._1, d._2, p)
+    val out = DistantPropagation.inferredSets(spark,
+      edges(e(q, a, 0.91), e(q, b, 0.99), e(b, a, 0.99), e(a, c, 0.95)), pairs(q), 0.9)
+    val m = collectDists(out)
+    assert(math.abs(m((q, a)) - 0.99 * 0.99) < 1e-9)
+    assert(math.abs(m((q, c)) - 0.99 * 0.99 * 0.95) < 1e-9)
+  }
+  test("a long chain of near-1 edges is followed to its end") {
+    val chain = (0 until 20).map(i => (i.toLong, 100L + i, i + 1L, 101L + i, 0.999))
+    val m = collectDists(DistantPropagation.inferredSets(spark, edges(chain: _*), pairs((0L, 100L)), 0.9))
+    assert(m.size == 21)
+    assert(math.abs(m(((0L, 100L), (20L, 120L))) - math.pow(0.999, 20)) < 1e-9)
+  }
+  test("inferred sets match a Floyd–Warshall reference on random graphs") {
+    val tau = 0.9
+    val zeta = -math.log(tau)
+    forSeeds(10) { rnd =>
+      val n = 15 + rnd.nextInt(16)
+      def v(i: Int) = (i.toLong, 1000L + i)
+      val random = Seq.fill(2 * n)((rnd.nextInt(n), rnd.nextInt(n), 0.85 + 0.15 * rnd.nextDouble()))
+      val nearOne = (0 until n / 2).map(i => (i, i + 1, 0.99 + 0.01 * rnd.nextDouble()))
+      val es = (random ++ nearOne).filter(e => e._1 != e._2)
+
+      val d = Array.tabulate(n, n)((i, j) => if (i == j) 0.0 else Double.PositiveInfinity)
+      for ((s, t, p) <- es if -math.log(p) <= zeta) d(s)(t) = math.min(d(s)(t), -math.log(p))
+      for (k <- 0 until n; i <- 0 until n; j <- 0 until n)
+        d(i)(j) = math.min(d(i)(j), d(i)(k) + d(k)(j))
+
+      val sources = (0 until n).filter(_ % 3 != 0)
+      val out = DistantPropagation.inferredSets(spark,
+        edges(es.map { case (s, t, p) => (v(s)._1, v(s)._2, v(t)._1, v(t)._2, p) }: _*),
+        sources.map(v).toDF("id1", "id2"), tau)
+      val keys = out.collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))).toSeq
+      assert(keys == keys.sorted, "rows are not in key order")
+      val m = collectDists(out)
+      for (i <- sources; j <- 0 until n) {
+        val got = m.get((v(i), v(j)))
+        if (d(i)(j) <= zeta - 1e-9)
+          assert(got.exists(p => math.abs(p - math.exp(-d(i)(j))) < 1e-9), s"$i→$j: $got vs dist ${d(i)(j)}")
+        else if (d(i)(j) > zeta + 1e-9)
+          assert(got.isEmpty, s"$i→$j: $got but dist ${d(i)(j)} > ζ")
+      }
+    }
   }
 }
