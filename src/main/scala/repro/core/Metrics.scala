@@ -1,13 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.util.BipartiteMatching
 
 /** Evaluation metrics used across the paper's tables.
   *
-  * All inputs are pair DataFrames with columns [id1: Long, id2: Long]
-  * (plus extra columns that are ignored).
+  * Pair DataFrame inputs have columns [id1: Long, id2: Long] (plus extra
+  * columns that are ignored).
   */
 object Metrics {
 
@@ -16,15 +15,7 @@ object Metrics {
       f"P=${precision * 100}%.1f%% R=${recall * 100}%.1f%% F1=${f1 * 100}%.1f%%"
   }
 
-  private def pairSet(df: DataFrame): Set[(Long, Long)] =
-    df.select(col("id1").cast("long"), col("id2").cast("long"))
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
-      .toSet
-
-  /** Precision/recall/F1 of `found` against `gold` (both pair DataFrames). */
-  def prf(found: DataFrame, gold: DataFrame): PRF = prfSets(pairSet(found), pairSet(gold))
-
+  /** Precision/recall/F1 of `found` against `gold`. */
   def prfSets(found: Set[(Long, Long)], gold: Set[(Long, Long)]): PRF = {
     if (found.isEmpty) return PRF(0.0, 0.0, 0.0)
     val tp = found.intersect(gold).size.toDouble

@@ -1,12 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import repro.core.graph._
 import repro.core.prop._
 import repro.core.select.QuestionSelection
 import repro.core.truth._
-import repro.kb.{KB, KBAug}
+import repro.kb.KBAug
 import repro.synth.KBPairGen.KBPair
 
 /** The full Remp pipeline (§III-B workflow) — ER graph construction,
@@ -18,6 +18,16 @@ object Remp {
 
   type Pair = (Long, Long)
 
+  /** How `resolve` picks each round's questions (§VI): Algorithm 3, or the
+    * MaxInf / MaxPr heuristics of Fig. 5.
+    */
+  sealed trait Selection
+  object Selection {
+    case object Greedy extends Selection
+    case object MaxInf extends Selection
+    case object MaxPr extends Selection
+  }
+
   final case class Config(
       k: Int = 4,
       tau: Double = 0.9,
@@ -26,8 +36,7 @@ object Remp {
       attrMinSim: Double = 0.4,
       literalThreshold: Double = 0.9,
       maxLoops: Int = 500,
-      useIsolatedClassifier: Boolean = true,
-      selection: String = "greedy") // greedy | maxinf | maxpr
+      selection: Selection = Selection.Greedy)
 
   /** Everything computed before the first crowd round. All competing methods
     * consume the same retained matches M_rd (as in the paper's setup).
@@ -81,12 +90,12 @@ object Remp {
     val edges = ERGraphBuilder.edges(retained, kb1, kb2).cache()
     // Likely value matches for ε-estimation: every candidate with a prior at
     // or above the noisy-label band (an exact-labels-only count biases ε down).
-    val likelyMatches = cands.filter(org.apache.spark.sql.functions.col("prior") >= 0.4)
+    val likelyMatches = cands.filter(col("prior") >= 0.4)
     val consistency = ConsistencyEstimator.estimate(spark, kb1, kb2, mIn, Some(likelyMatches))
     val probEdges = NeighborPropagation.probabilisticEdges(
       spark, edges, retained.select("id1", "id2", "prior"), consistency).cache()
 
-    val connectedV = ERGraphBuilder.connectedVertices(retained, edges).select("id1", "id2")
+    val connectedV = ERGraphBuilder.connectedVertices(retained, edges).select("id1", "id2").cache()
     val inferredDf = DistantPropagation.inferredSets(spark, probEdges, connectedV, cfg.tau)
     val inferred = inferredDf.collect()
       .map(r => ((r.getLong(0), r.getLong(1)), ((r.getLong(2), r.getLong(3)), r.getDouble(4))))
@@ -125,9 +134,9 @@ object Remp {
       else {
         val snapshot = priors.toMap
         val selected = cfg.selection match {
-          case "maxinf" => QuestionSelection.selectMaxInf(inferredSeqs, askable, unresolved.toSet, cfg.mu)
-          case "maxpr"  => QuestionSelection.selectMaxPr(snapshot, askable, cfg.mu)
-          case _        => QuestionSelection.selectGreedy(inferredSeqs, snapshot, askable, unresolved.toSet, cfg.mu)
+          case Selection.MaxInf => QuestionSelection.selectMaxInf(inferredSeqs, askable, unresolved.toSet, cfg.mu)
+          case Selection.MaxPr  => QuestionSelection.selectMaxPr(snapshot, askable, cfg.mu)
+          case Selection.Greedy => QuestionSelection.selectGreedy(inferredSeqs, snapshot, askable, unresolved.toSet, cfg.mu)
         }
         if (selected.isEmpty) continue = false
         else {
@@ -158,7 +167,7 @@ object Remp {
     // Isolated-pair classifier (§VII-B): resolved matches are positives;
     // unresolved + labelled non-matches are negatives.
     val classifierM: Set[Pair] =
-      if (!cfg.useIsolatedClassifier || prepared.isolated.isEmpty) Set.empty
+      if (prepared.isolated.isEmpty) Set.empty
       else {
         def feat(p: Pair): Array[Double] =
           prepared.vecs.getOrElse(p, Array.empty) :+ prepared.priors.getOrElse(p, 0.0)
@@ -173,10 +182,6 @@ object Remp {
       Metrics.prfSets(matches, prepared.gold),
       labelledM.toSet, inferredM.toSet, classifierM)
   }
-
-  /** End-to-end convenience: prepare + resolve. */
-  def run(spark: SparkSession, pair: KBPair, pool: WorkerPool, cfg: Config = Config()): Result =
-    resolve(prepare(spark, pair, cfg), pool, cfg)
 
   /** Table VI mode: propagate from given seed matches, no crowdsourcing and
     * no isolated-pair classifier (§VIII-B "effectiveness of match propagation").

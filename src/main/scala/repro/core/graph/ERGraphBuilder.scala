@@ -1,6 +1,6 @@
 package repro.core.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.kb.KB
 
@@ -28,19 +28,13 @@ object ERGraphBuilder {
       .select("srcId1", "srcId2", "dstId1", "dstId2", "r1", "r2")
   }
 
-  /** Vertices of the graph that touch at least one edge; the complement of
-    * `isolatedVertices` below.
+  /** Vertices of the graph that touch at least one edge. The rest are the
+    * isolated pairs, which the classifier handles (§VII-B).
     */
-  def connectedVertices(vertices: DataFrame, edges: DataFrame): DataFrame =
-    vertices.join(touched(edges), Seq("id1", "id2"), "left_semi")
-
-  /** Entity pairs with no incident edge — handled by the classifier (§VII-B). */
-  def isolatedVertices(vertices: DataFrame, edges: DataFrame): DataFrame =
-    vertices.join(touched(edges), Seq("id1", "id2"), "left_anti")
-
-  /** Distinct endpoints of `edges`, as [id1, id2]. */
-  private def touched(edges: DataFrame): DataFrame =
-    edges.select(col("srcId1").as("id1"), col("srcId2").as("id2"))
+  def connectedVertices(vertices: DataFrame, edges: DataFrame): DataFrame = {
+    val touched = edges.select(col("srcId1").as("id1"), col("srcId2").as("id2"))
       .union(edges.select(col("dstId1").as("id1"), col("dstId2").as("id2")))
       .distinct()
+    vertices.join(touched, Seq("id1", "id2"), "left_semi")
+  }
 }

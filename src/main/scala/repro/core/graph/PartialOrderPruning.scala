@@ -11,9 +11,11 @@ import org.apache.spark.sql.functions._
   * A pair is pruned when max(min_rank₁, min_rank₂) ≥ k — it cannot be in the
   * entity's top-k under any linearisation of the partial order. Pairs
   * dominated by a pruned pair have strictly larger ranks, so the rank filter
-  * subsumes Algorithm 1's cascading removal (line 12); the paper's two
-  * one-way passes are kept for fidelity (the second pass recomputes ranks on
-  * the reduced set, which can only shrink them).
+  * subsumes Algorithm 1's cascading removal (line 12).
+  *
+  * One pass is exact: ranking the retained pairs again counts dominating
+  * vectors within a subset of each block, so no rank can rise and every
+  * retained pair would be kept. The filter is idempotent.
   *
   * Input/output columns: [id1, id2, prior, exact, vec].
   */
@@ -32,12 +34,10 @@ object PartialOrderPruning {
     ge && gt
   }
 
-  /** One PruningInOneWay pass: recompute both ranks on the current set and
-    * keep pairs with min_rank < k.
-    */
-  def pruneOnce(spark: SparkSession, cands: DataFrame, k: Int): DataFrame = {
+  /** Algorithm 1: keep the pairs with max(min_rank₁, min_rank₂) < k. */
+  def prune(spark: SparkSession, candsWithVec: DataFrame, k: Int): DataFrame = {
     import spark.implicits._
-    val vecs = cands.select($"id1", $"id2", $"vec").as[(Long, Long, Seq[Double])]
+    val vecs = candsWithVec.select($"id1", $"id2", $"vec").as[(Long, Long, Seq[Double])]
 
     def ranksBy(key: ((Long, Long, Seq[Double])) => Long): DataFrame =
       vecs.groupByKey(key)
@@ -57,14 +57,8 @@ object PartialOrderPruning {
 
     val r1 = ranksBy(_._1).withColumnRenamed("rank", "rank1")
     val r2 = ranksBy(_._2).withColumnRenamed("rank", "rank2")
-    cands.join(r1, Seq("id1", "id2")).join(r2, Seq("id1", "id2"))
+    candsWithVec.join(r1, Seq("id1", "id2")).join(r2, Seq("id1", "id2"))
       .filter(greatest($"rank1", $"rank2") < k)
       .drop("rank1", "rank2")
-  }
-
-  /** Algorithm 1: two one-way passes (U₁ then U₂). */
-  def prune(spark: SparkSession, candsWithVec: DataFrame, k: Int): DataFrame = {
-    val once = pruneOnce(spark, candsWithVec, k)
-    pruneOnce(spark, once, k)
   }
 }

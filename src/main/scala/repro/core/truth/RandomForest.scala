@@ -16,10 +16,7 @@ final class RandomForest(
     maxDepth: Int = 20,
     minSamplesSplit: Int = 2,
     seed: Long = 13L) {
-
-  private sealed trait Node
-  private final case class Leaf(probPositive: Double) extends Node
-  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
+  import RandomForest._
 
   private var trees: IndexedSeq[Node] = IndexedSeq.empty
 
@@ -99,4 +96,10 @@ final class RandomForest(
   }
 
   def predict(x: Array[Double]): Boolean = predictProb(x) >= 0.5
+}
+
+object RandomForest {
+  private sealed trait Node
+  private final case class Leaf(probPositive: Double) extends Node
+  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 }

@@ -29,15 +29,9 @@ final class WorkerPool(
 
   private val rnd = new Random(seed)
 
-  /** One crowd round: workers label `truth`; returns (labels, workerQualities). */
-  def label(truth: Boolean): (IndexedSeq[Boolean], IndexedSeq[Double]) = {
-    val ws = IndexedSeq.fill(perQuestion)(qualities(rnd.nextInt(qualities.size)))
-    val labels = ws.map(q => if (rnd.nextDouble() < q) truth else !truth)
-    (labels, ws)
-  }
-
-  /** Difficulty-aware round for a concrete question: labels flip according
-    * to the effective quality, while the reported qualities stay nominal.
+  /** One crowd round for a concrete question: workers label `truth`, and
+    * labels flip according to the effective quality, while the reported
+    * qualities stay nominal. Returns (labels, workerQualities).
     */
   def labelFor(pair: (Long, Long), truth: Boolean): (IndexedSeq[Boolean], IndexedSeq[Double]) = {
     val d = math.min(1.0, math.max(0.0, difficulty(pair)))

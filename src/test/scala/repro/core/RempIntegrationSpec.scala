@@ -71,22 +71,24 @@ class RempIntegrationSpec extends SparkSpec {
     assert(f1At(0.8) > 0.75, s"f1@80%=${f1At(0.8)}")
   }
   test("selection strategy variants run and produce sane results") {
-    for (s <- Seq("maxinf", "maxpr")) {
+    for (s <- Seq(Remp.Selection.MaxInf, Remp.Selection.MaxPr)) {
       val res = Remp.resolve(iimb.prepared, WorkerPool.oracle(), Remp.Config(selection = s))
       assert(res.prf.f1 >= 0.0 && res.questions > 0, s"strategy $s")
     }
   }
   test("greedy selection needs no more questions than MaxPr for comparable F1") {
     val g = Remp.resolve(iimb.prepared, WorkerPool.oracle(), Remp.Config())
-    val mp = Remp.resolve(iimb.prepared, WorkerPool.oracle(), Remp.Config(selection = "maxpr"))
+    val mp = Remp.resolve(iimb.prepared, WorkerPool.oracle(), Remp.Config(selection = Remp.Selection.MaxPr))
     assert(g.prf.f1 >= mp.prf.f1 - 0.1)
   }
   test("disabled classifier yields a subset of matches") {
-    val withC = Remp.resolve(da.prepared, WorkerPool.oracle(), Remp.Config())
-    val withoutC = Remp.resolve(da.prepared, WorkerPool.oracle(),
-      Remp.Config(useIsolatedClassifier = false))
-    assert(withoutC.classifierMatches.isEmpty)
-    assert(withoutC.matches.subsetOf(withC.matches) || withC.classifierMatches.isEmpty)
+    // The matches without the classifier's are labelled ∪ inferred; the
+    // classifier adds only isolated pairs on top.
+    val res = Remp.resolve(da.prepared, WorkerPool.oracle(), Remp.Config())
+    val withoutC = res.labelledMatches ++ res.inferredMatches
+    assert(res.matches == withoutC ++ res.classifierMatches)
+    assert(res.classifierMatches.subsetOf(da.prepared.isolated))
+    assert(res.classifierMatches.nonEmpty)
   }
   test("gold set round-trips through goldSet") {
     assert(Remp.goldSet(iimb.pair.gold) == iimb.gold)

@@ -1,6 +1,6 @@
 package repro.core.graph
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestKBs}
 
 class ERGraphBuilderSpec extends SparkSpec {
@@ -49,16 +49,20 @@ class ERGraphBuilderSpec extends SparkSpec {
         |""".stripMargin,
       "v" -> vertices, "rels1" -> kb1.rels, "rels2" -> kb2.rels)
   }
+  /** The complement of `connectedVertices` within `vs`, as `Remp.prepare` forms it. */
+  private def isolated(vs: DataFrame, e: DataFrame): DataFrame =
+    vs.select("id1", "id2").except(ERGraphBuilder.connectedVertices(vs, e).select("id1", "id2"))
+
   test("connected and isolated vertices partition the vertex set") {
     val conn = ERGraphBuilder.connectedVertices(vertices, edges)
-    val iso = ERGraphBuilder.isolatedVertices(vertices, edges)
+    val iso = isolated(vertices, edges)
     assert(conn.count() + iso.count() == vertices.count())
     assert(conn.intersect(iso).count() == 0)
   }
   test("isolated vertices have no incident edges") {
     val extra = vertices.union(Seq((99L, 199L)).toDF("id1", "id2"))
     val e = ERGraphBuilder.edges(extra, kb1, kb2)
-    val iso = ERGraphBuilder.isolatedVertices(extra, e).collect().map(r => (r.getLong(0), r.getLong(1)))
+    val iso = isolated(extra, e).collect().map(r => (r.getLong(0), r.getLong(1)))
     assert(iso.contains((99L, 199L)))
   }
 }

@@ -66,6 +66,22 @@ class PartialOrderPruningSpec extends SparkSpec {
     assert(r.getDouble(r.fieldIndex("prior")) == 0.7)
     assert(r.getBoolean(r.fieldIndex("exact")))
   }
+  test("prune keeps exactly the pairs a brute-force rank filter keeps") {
+    // Random blocks over a coarse grid, so vectors tie and repeat.
+    for (seed <- 1 to 4; k <- Seq(1, 2, 4)) {
+      val rnd = new scala.util.Random(seed)
+      val rows = for (i <- 1L to 5L; j <- 101L to 107L if rnd.nextDouble() < 0.6)
+        yield (i, j, rnd.nextDouble(), rnd.nextBoolean(), Seq.fill(2)(rnd.nextInt(3) / 2.0))
+      def rank(block: Seq[(Long, Long, Double, Boolean, Seq[Double])], v: Seq[Double]) =
+        block.count(o => PartialOrderPruning.strictlyDominates(o._5, v))
+      val expected = rows.filter { r =>
+        math.max(rank(rows.filter(_._1 == r._1), r._5), rank(rows.filter(_._2 == r._2), r._5)) < k
+      }.map(r => (r._1, r._2, r._3, r._4)).toSet
+      val kept = PartialOrderPruning.prune(spark, df(rows), k).collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getBoolean(3))).toSet
+      assert(kept == expected, s"seed $seed, k $k")
+    }
+  }
   test("pair completeness stays high on a synthetic profile") {
     val pair = repro.synth.KBPairGen.generate(spark,
       repro.synth.KBPairGen.profile("da", scale = 0.15))

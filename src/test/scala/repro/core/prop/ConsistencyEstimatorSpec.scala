@@ -6,22 +6,6 @@ import repro.kb.KB
 class ConsistencyEstimatorSpec extends SparkSpec {
   import spark.implicits._
 
-  test("bestLTerm is 0 when either side is empty") {
-    assert(ConsistencyEstimator.bestLTerm(0, 5, 2.0) == 0.0)
-    assert(ConsistencyEstimator.bestLTerm(5, 0, 2.0) == 0.0)
-  }
-  test("bestLTerm prefers L>0 for attractive odds") {
-    assert(ConsistencyEstimator.bestLTerm(2, 2, math.log(81.0)) > 0.0)
-  }
-  test("bestLTerm stays at L=0 for repulsive odds") {
-    assert(ConsistencyEstimator.bestLTerm(2, 2, math.log(1e-6)) == 0.0)
-  }
-  test("bestLTerm grows with set sizes under attractive odds") {
-    val lz = math.log(10.0)
-    assert(ConsistencyEstimator.bestLTerm(4, 4, lz) >
-      ConsistencyEstimator.bestLTerm(2, 2, lz))
-  }
-
   private def kbOf(rels: Seq[(Long, String, Long)], side: Int): KB = {
     val ids = rels.flatMap(r => Seq(r._1, r._3)).distinct
     KB.fromLocal(spark,
@@ -84,12 +68,37 @@ class ConsistencyEstimatorSpec extends SparkSpec {
     for (crossed <- eps.get(("y_directed", "d_wasBornIn")))
       assert(crossed.eps1 <= aligned.eps1 + 1e-9)
   }
-  test("degreeHistogram counts value-set sizes per relationship pair") {
-    val (kb1, kb2) = TestKBs.figure1(spark)
-    val mIn = TestKBs.figure1Gold.toSeq.toDF("id1", "id2")
-    val h = ConsistencyEstimator.degreeHistogram(spark, kb1, kb2, mIn).collect()
-    val timDirected = h.find(r => r.getString(0) == "y_directed" && r.getString(1) == "d_directed")
-    assert(timDirected.isDefined)
-    assert(timDirected.get.getLong(2) == 2 && timDirected.get.getLong(3) == 2) // Tim directs 2 movies
+  test("estimate equals ΣL/Σn_i computed by hand over local triples") {
+    // Seeded random KBs with shared objects, one KB1 subject in two initial
+    // matches, and value matches that differ from M_in.
+    for (seed <- 1 to 4) {
+      val rnd = new scala.util.Random(seed)
+      def triples(subjs: Range, objs: Range, rels: Seq[String]) =
+        (for (u <- subjs; r <- rels; v <- objs if rnd.nextDouble() < 0.3) yield (u.toLong, r, v.toLong))
+      val t1 = triples(0 until 8, 100 until 110, Seq("a", "b"))
+      val t2 = triples(1000 until 1008, 1100 until 1110, Seq("x", "y", "z"))
+      val mIn = ((0 until 8).map(i => (i.toLong, 1000L + i)) :+ ((0L, 1001L))).distinct
+      val valueMatches = (for (v1 <- 100 until 110; v2 <- 1100 until 1110
+                               if v2 - 1000 == v1 || rnd.nextDouble() < 0.1) yield (v1.toLong, v2.toLong))
+      val floor = 0.01
+
+      val vm = valueMatches.toSet
+      def values(t: Seq[(Long, String, Long)], u: Long, r: String) = t.filter(x => x._1 == u && x._2 == r).map(_._3)
+      val expected = (for (r1 <- Seq("a", "b"); r2 <- Seq("x", "y", "z")) yield {
+        val sumL = mIn.map { case (u1, u2) =>
+          (for (v1 <- values(t1, u1, r1); v2 <- values(t2, u2, r2) if vm((v1, v2))) yield 1).size
+        }.sum
+        val n1 = mIn.map { case (u1, _) => values(t1, u1, r1).size }.sum
+        val n2 = mIn.map { case (_, u2) => values(t2, u2, r2).size }.sum
+        def clamp(x: Double) = math.min(1.0 - floor, math.max(floor, x))
+        (r1, r2) -> (sumL, ConsistencyEstimator.Consistency(
+          clamp(sumL.toDouble / n1), clamp(sumL.toDouble / n2)))
+      }).collect { case (k, (l, c)) if l > 0 => k -> c }.toMap
+      assert(expected.nonEmpty)
+
+      val eps = ConsistencyEstimator.estimate(spark, kbOf(t1, 1), kbOf(t2, 2), mIn.toDF("id1", "id2"),
+        Some(valueMatches.toDF("id1", "id2")), floor)
+      assert(eps == expected, s"seed $seed")
+    }
   }
 }

@@ -71,7 +71,7 @@ class WorkerPoolSpec extends PropSpec {
   test("fixed-error pool labels mostly correctly at low error") {
     val pool = WorkerPool.fixedError(0.05, seed = 1)
     val correct = (1 to 200).count { _ =>
-      val (labels, _) = pool.label(truth = true)
+      val (labels, _) = pool.labelFor((1L, 2L), truth = true)
       labels.count(identity) > labels.size / 2
     }
     assert(correct > 190)
@@ -79,7 +79,7 @@ class WorkerPoolSpec extends PropSpec {
   test("oracle pool is always right") {
     val pool = WorkerPool.oracle()
     (1 to 50).foreach { _ =>
-      val (labels, quals) = pool.label(truth = true)
+      val (labels, quals) = pool.labelFor((1L, 2L), truth = true)
       assert(labels == IndexedSeq(true))
       assert(posterior(0.5, labels, quals) > 0.999)
     }
@@ -87,7 +87,7 @@ class WorkerPoolSpec extends PropSpec {
   test("pool is deterministic in its seed") {
     def run(seed: Long) = {
       val p = WorkerPool.fixedError(0.25, seed = seed)
-      (1 to 20).map(_ => p.label(truth = true)._1)
+      (1 to 20).map(_ => p.labelFor((1L, 2L), truth = true)._1)
     }
     assert(run(5L) == run(5L))
     assert(run(5L) != run(6L)) // overwhelmingly likely at error 0.25
@@ -120,7 +120,7 @@ class WorkerPoolSpec extends PropSpec {
   test("high error rate flips labels more often") {
     def flips(err: Double) = {
       val p = WorkerPool.fixedError(err, seed = 2)
-      (1 to 300).map(_ => p.label(truth = true)._1.count(!_)).sum
+      (1 to 300).map(_ => p.labelFor((1L, 2L), truth = true)._1.count(!_)).sum
     }
     assert(flips(0.25) > flips(0.05))
   }
