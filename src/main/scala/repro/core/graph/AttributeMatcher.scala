@@ -16,10 +16,16 @@ import repro.util.{Hungarian, StringSim}
   */
 object AttributeMatcher {
 
-  /** [a1, a2, sim] for every attribute pair with nonzero support. */
+  /** (a1, a2, sim) for every attribute pair with nonzero two-sided support,
+    * sorted by (a1, a2).
+    *
+    * Spark aggregates Σ sim_L and the two-sided support n_both per (a1, a2),
+    * and the supports n₁ per a1 and n₂ per a2; the driver divides:
+    * sim = Σ sim_L / (n₁ + n₂ − n_both).
+    */
   def attributeSimilarities(
       spark: SparkSession, kb1: KB, kb2: KB, mIn: DataFrame,
-      literalThreshold: Double = 0.9): DataFrame = {
+      literalThreshold: Double = 0.9): Seq[(String, String, Double)] = {
     val g1 = kb1.attrs.groupBy(col("subj").as("id1"), col("attr").as("a1"))
       .agg(collect_list("value").as("vals1"))
     val g2 = kb2.attrs.groupBy(col("subj").as("id2"), col("attr").as("a2"))
@@ -31,37 +37,36 @@ object AttributeMatcher {
     val simL = udf((v1: Seq[String], v2: Seq[String]) =>
       StringSim.simL(v1, v2, literalThreshold))
 
-    // Support where both sides have values, with the actual sim_L value.
     val both = j1.join(j2, Seq("id1", "id2"))
       .withColumn("s", simL(col("vals1"), col("vals2")))
       .groupBy("a1", "a2")
-      .agg(sum("s").as("simSum"), count(lit(1)).as("nBoth"))
+      .agg(sum("s"), count(lit(1)))
+      .collect()
 
-    // Per-attribute support counts over M_in (for the one-sided denominator).
-    val c1 = j1.groupBy("a1").agg(count(lit(1)).as("n1"))
-    val c2 = j2.groupBy("a2").agg(count(lit(1)).as("n2"))
+    // Rows of j per attribute: the initial matches where that side has values.
+    def support(j: DataFrame, a: String): Map[String, Long] =
+      j.groupBy(a).count().collect().map(r => r.getString(0) -> r.getLong(1)).toMap
+    val n1 = support(j1, "a1")
+    val n2 = support(j2, "a2")
 
-    both.join(c1, "a1").join(c2, "a2")
-      .withColumn("sim", col("simSum") / (col("n1") + col("n2") - col("nBoth")))
-      .select("a1", "a2", "sim")
+    both.toSeq.map { r =>
+      val (a1, a2) = (r.getString(0), r.getString(1))
+      (a1, a2, r.getDouble(2) / (n1(a1) + n2(a2) - r.getLong(3)))
+    }.sortBy(t => (t._1, t._2))
   }
 
   /** Global 1:1 attribute matching M_at via the Hungarian algorithm. */
-  def matchAttributes(sims: DataFrame, minSim: Double = 0.4): Seq[(String, String, Double)] = {
-    val rows = sims.collect().map(r => (r.getString(r.fieldIndex("a1")),
-      r.getString(r.fieldIndex("a2")), r.getDouble(r.fieldIndex("sim"))))
-    val as1 = rows.map(_._1).distinct.sorted
-    val as2 = rows.map(_._2).distinct.sorted
+  def matchAttributes(sims: Seq[(String, String, Double)], minSim: Double = 0.4): Seq[(String, String, Double)] = {
+    val as1 = sims.map(_._1).distinct.sorted
+    val as2 = sims.map(_._2).distinct.sorted
     val i1 = as1.zipWithIndex.toMap
     val i2 = as2.zipWithIndex.toMap
     val w = Array.ofDim[Double](as1.length, as2.length)
-    for ((a1, a2, s) <- rows if s >= minSim) w(i1(a1))(i2(a2)) = s
+    for ((a1, a2, s) <- sims if s >= minSim) w(i1(a1))(i2(a2)) = s
     Hungarian.solve(w).map { case (i, j) => (as1(i), as2(j), w(i)(j)) }
   }
 
   /** Ablation without the 1:1 constraint: every pair with sim ≥ minSim. */
-  def matchAttributesNo11(sims: DataFrame, minSim: Double = 0.4): Seq[(String, String, Double)] =
-    sims.filter(col("sim") >= minSim).collect()
-      .map(r => (r.getString(r.fieldIndex("a1")), r.getString(r.fieldIndex("a2")),
-        r.getDouble(r.fieldIndex("sim")))).toSeq
+  def matchAttributesNo11(sims: Seq[(String, String, Double)], minSim: Double = 0.4): Seq[(String, String, Double)] =
+    sims.filter(_._3 >= minSim)
 }

@@ -21,20 +21,22 @@ object SimVectors {
       kb1: KB, kb2: KB,
       attrMatches: Seq[(String, String, Double)],
       literalThreshold: Double = 0.9): DataFrame = {
-    import spark.implicits._
     val mAt = attrMatches.map { case (a1, a2, _) => (a1, a2) }
     val dim = mAt.size
     if (dim == 0) return candidates.withColumn("vec", array())
 
-    val idx1 = mAt.zipWithIndex.map { case ((a1, _), i) => (a1, i) }.toDF("attr", "pos")
-    val idx2 = mAt.zipWithIndex.map { case ((_, a2), i) => (a2, i) }.toDF("attr", "pos")
-
-    val g1 = kb1.attrs.join(idx1, "attr")
-      .groupBy(col("subj").as("id1"), col("pos"))
-      .agg(collect_list("value").as("vals1"))
-    val g2 = kb2.attrs.join(idx2, "attr")
-      .groupBy(col("subj").as("id2"), col("pos"))
-      .agg(collect_list("value").as("vals2"))
+    // [id, pos, vals] for every entity and vector position: the values of the
+    // attribute matched at `pos`. An attribute in several matches (a no-1:1
+    // list) fills each of its positions.
+    def valueLists(kb: KB, attrs: Seq[String], side: Int): DataFrame = {
+      val positions = typedLit(attrs.zipWithIndex.groupMap(_._1)(_._2))
+      kb.attrs.select(col("subj").as(s"id$side"),
+          explode(element_at(positions, col("attr"))).as("pos"), col("value"))
+        .groupBy(s"id$side", "pos")
+        .agg(collect_list("value").as(s"vals$side"))
+    }
+    val g1 = valueLists(kb1, mAt.map(_._1), 1)
+    val g2 = valueLists(kb2, mAt.map(_._2), 2)
 
     val simL = udf((v1: Seq[String], v2: Seq[String]) =>
       StringSim.simL(v1, v2, literalThreshold))

@@ -26,9 +26,13 @@ object ConsistencyEstimator {
 
   final case class Consistency(eps1: Double, eps2: Double)
 
+  /** Estimates are clamped into [Floor, 1 − Floor]. */
+  val Floor = 0.01
+
   /** Binomial MLE of (ε₁, ε₂) for every relationship pair with at least one
     * observed value match: ε_i = Σ L / Σ n_i, clamped into
-    * [`floor`, 1 − `floor`].
+    * [`Floor`, 1 − `Floor`]. Spark counts Σ L per (r1, r2), Σ n₁ per r1 and
+    * Σ n₂ per r2; the driver divides.
     *
     * `valueMatches` decides which value pairs count as matched. Defaulting to
     * M_in alone biases ε down (the paper's latent-L MLE credits likely
@@ -36,8 +40,7 @@ object ConsistencyEstimator {
     * should pass the candidates above a prior threshold — Remp.prepare does.
     */
   def estimate(spark: SparkSession, kb1: KB, kb2: KB, mIn: DataFrame,
-               valueMatches: Option[DataFrame] = None,
-               floor: Double = 0.01): Map[(String, String), Consistency] = {
+               valueMatches: Option[DataFrame] = None): Map[(String, String), Consistency] = {
     val subj = mIn.select("id1", "id2")
     // One row per initial match (u1, u2) and value of u1 (resp. u2), so the
     // rows per relationship sum n_i over M_in.
@@ -45,17 +48,18 @@ object ConsistencyEstimator {
     val j2 = subj.join(kb2.rels.select(col("subj").as("id2"), col("rel").as("r2"), col("obj").as("v2")), "id2")
     val valuePairs = valueMatches.getOrElse(mIn).select(col("id1").as("v1"), col("id2").as("v2"))
     val sumL = j1.join(j2, Seq("id1", "id2")).join(valuePairs, Seq("v1", "v2"))
-      .groupBy("r1", "r2").agg(count(lit(1)).as("sumL"))
-    val sumN1 = j1.groupBy("r1").agg(count(lit(1)).as("sumN1"))
-    val sumN2 = j2.groupBy("r2").agg(count(lit(1)).as("sumN2"))
+      .groupBy("r1", "r2").count().collect()
+    def sumN(j: DataFrame, r: String): Map[String, Long] =
+      j.groupBy(r).count().collect().map(row => row.getString(0) -> row.getLong(1)).toMap
+    val sumN1 = sumN(j1, "r1")
+    val sumN2 = sumN(j2, "r2")
 
     // Every observed (r1, r2) has a row in j1 and in j2, so both sums are ≥ 1.
-    def clamp(x: Double): Double = math.min(1.0 - floor, math.max(floor, x))
-    sumL.join(sumN1, "r1").join(sumN2, "r2").select("r1", "r2", "sumL", "sumN1", "sumN2")
-      .collect()
-      .map { r =>
-        val l = r.getLong(2).toDouble
-        (r.getString(0), r.getString(1)) -> Consistency(clamp(l / r.getLong(3)), clamp(l / r.getLong(4)))
-      }.toMap
+    def clamp(x: Double): Double = math.min(1.0 - Floor, math.max(Floor, x))
+    sumL.map { row =>
+      val (r1, r2) = (row.getString(0), row.getString(1))
+      val l = row.getLong(2).toDouble
+      (r1, r2) -> Consistency(clamp(l / sumN1(r1)), clamp(l / sumN2(r2)))
+    }.toMap
   }
 }

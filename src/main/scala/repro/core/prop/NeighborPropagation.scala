@@ -18,11 +18,18 @@ import repro.core.prop.ConsistencyEstimator.Consistency
   * which only involves the candidate pairs — the paper's worked example
   * (ε=0.9, priors 0.5 → Pr ≈ 0.99 / 0.01) is reproduced exactly in tests.
   *
-  * Value sets are capped at `maxSide` entities per side (kept by descending
+  * Value sets are capped at `MaxSide` entities per side (kept by descending
   * prior) to bound the enumeration; real neighbourhood products beyond that
   * size carry negligible marginal information.
   */
 object NeighborPropagation {
+
+  /** The most entities per side of one enumerated candidate set.
+    * `marginals` marks the used right-hand entities in a 64-bit mask, so it
+    * must stay ≤ 64.
+    */
+  val MaxSide = 6
+  require(MaxSide <= 64, "marginals tracks right-hand entities in a 64-bit mask")
 
   /** Exact per-pair marginals for one bipartite candidate set.
     * `pairs` are (left, right, prior); returns matching order of posteriors.
@@ -79,14 +86,14 @@ object NeighborPropagation {
     * with prob = max over edge labels of the per-label posterior (Eq. 9).
     *
     * `edges` are ER-graph edges; `priors` carry [id1, id2, prior];
-    * `consistency` maps (r1, r2) → (ε₁, ε₂).
+    * `consistency` maps (r1, r2) → (ε₁, ε₂). One group per source vertex
+    * holds all its labels.
     */
   def probabilisticEdges(
       spark: SparkSession,
       edges: DataFrame,
       priors: DataFrame,
-      consistency: Map[(String, String), Consistency],
-      maxSide: Int = 6): DataFrame = {
+      consistency: Map[(String, String), Consistency]): DataFrame = {
     import spark.implicits._
     val bc = spark.sparkContext.broadcast(consistency)
     val withPrior = edges.join(
@@ -95,27 +102,22 @@ object NeighborPropagation {
       .select($"srcId1", $"srcId2", $"r1", $"r2", $"dstId1", $"dstId2", $"prior")
       .as[(Long, Long, String, String, Long, Long, Double)]
 
-    val perLabel = withPrior
-      .groupByKey(t => (t._1, t._2, t._3, t._4))
-      .flatMapGroups { (key: (Long, Long, String, String), it: Iterator[(Long, Long, String, String, Long, Long, Double)]) =>
-        val (s1, s2, r1, r2) = key
-        val eps = bc.value.getOrElse((r1, r2), Consistency(0.5, 0.5))
-        val e1 = math.min(1 - 1e-6, math.max(1e-6, eps.eps1))
-        val e2 = math.min(1 - 1e-6, math.max(1e-6, eps.eps2))
-        val zeta = e1 * e2 / ((1 - e1) * (1 - e2))
-        val raw = it.map(t => (t._5, t._6, t._7)).toArray.distinct
-        val pairs = capPairs(raw, maxSide)
-        if (pairs.isEmpty) Iterator.empty
-        else {
-          val post = marginals(pairs, zeta)
-          pairs.iterator.zip(post.iterator).map { case ((d1, d2, _), pr) =>
-            (s1, s2, d1, d2, pr)
+    withPrior
+      .groupByKey(t => (t._1, t._2))
+      .flatMapGroups { (src: (Long, Long), it: Iterator[(Long, Long, String, String, Long, Long, Double)]) =>
+        val best = collection.mutable.HashMap.empty[(Long, Long), Double]
+        for (((r1, r2), rows) <- it.toArray.groupBy(t => (t._3, t._4))) {
+          val eps = bc.value.getOrElse((r1, r2), Consistency(0.5, 0.5))
+          val e1 = math.min(1 - 1e-6, math.max(1e-6, eps.eps1))
+          val e2 = math.min(1 - 1e-6, math.max(1e-6, eps.eps2))
+          val zeta = e1 * e2 / ((1 - e1) * (1 - e2))
+          val pairs = capPairs(rows.map(t => (t._5, t._6, t._7)).distinct, MaxSide)
+          pairs.iterator.zip(marginals(pairs, zeta).iterator).foreach { case ((d1, d2, _), pr) =>
+            best((d1, d2)) = math.max(pr, best.getOrElse((d1, d2), pr))
           }
         }
+        best.iterator.map { case ((d1, d2), pr) => (src._1, src._2, d1, d2, pr) }
       }
       .toDF("srcId1", "srcId2", "dstId1", "dstId2", "prob")
-
-    perLabel.groupBy("srcId1", "srcId2", "dstId1", "dstId2")
-      .agg(max("prob").as("prob"))
   }
 }

@@ -1,22 +1,24 @@
 package repro.core.graph
 
-import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestKBs}
+import repro.kb.KB
+import repro.util.StringSim
 
 class AttributeMatcherSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val (kb1, kb2) = TestKBs.figure1(spark)
   private lazy val mIn = TestKBs.figure1Gold.toSeq.toDF("id1", "id2")
-  private lazy val sims = AttributeMatcher.attributeSimilarities(spark, kb1, kb2, mIn).cache()
+  private lazy val sims = AttributeMatcher.attributeSimilarities(spark, kb1, kb2, mIn)
+
+  private def simOf(s: Seq[(String, String, Double)], a1: String, a2: String): Seq[Double] =
+    s.collect { case (`a1`, `a2`, v) => v }
 
   test("identical-value attribute pairs get similarity 1") {
-    val born = sims.filter($"a1" === "y_born" && $"a2" === "d_born").collect()
-    assert(born.length == 1 && born(0).getDouble(born(0).fieldIndex("sim")) == 1.0)
+    assert(simOf(sims, "y_born", "d_born") == Seq(1.0))
   }
   test("cross attribute pairs get low similarity") {
-    val cross = sims.filter($"a1" === "y_born" && $"a2" === "d_year").collect()
-    cross.foreach(r => assert(r.getDouble(r.fieldIndex("sim")) < 0.5))
+    simOf(sims, "y_born", "d_year").foreach(v => assert(v < 0.5))
   }
   test("1:1 matching recovers the renamed attribute alignment") {
     val m = AttributeMatcher.matchAttributes(sims).map(t => (t._1, t._2)).toSet
@@ -42,18 +44,45 @@ class AttributeMatcherSpec extends SparkSpec {
         (TestKBs.John + TestKBs.Off, "d_rare", "qqq"))).toSeq.toDF("subj", "attr", "value")
     val kb1b = kb1.copy(attrs = attrs1)
     val kb2b = kb2.copy(attrs = attrs2)
-    val s = AttributeMatcher.attributeSimilarities(spark, kb1b, kb2b, mIn)
-      .filter($"a1" === "y_rare" && $"a2" === "d_rare").collect()
+    val s = simOf(AttributeMatcher.attributeSimilarities(spark, kb1b, kb2b, mIn), "y_rare", "d_rare")
     // numerator: 1 (Joan); denominator: pairs(y_rare)=1 + pairs(d_rare)=2 − both=1 = 2
-    assert(s.length == 1 && math.abs(s(0).getDouble(s(0).fieldIndex("sim")) - 0.5) < 1e-9)
+    assert(s.length == 1 && math.abs(s.head - 0.5) < 1e-9)
+  }
+  test("attributeSimilarities equals Eq. 1 computed by hand over local triples") {
+    // Seeded random triples: each (entity, attribute) has 0–2 values from a
+    // small pool, so values repeat and many matches have values on one side
+    // only; entity 0 of KB1 is in two initial matches.
+    val pool = Seq("1900", "1901", "1950", "red car", "red", "blue car", "blue", "x y z")
+    for (seed <- 1 to 4) {
+      val rnd = new scala.util.Random(seed)
+      def triples(subjs: Range, attrs: Seq[String]) =
+        for (u <- subjs; a <- attrs; _ <- 0 until rnd.nextInt(3)) yield (u.toLong, a, pool(rnd.nextInt(pool.size)))
+      val t1 = triples(0 until 10, Seq("a", "b", "c")) ++ Seq((0L, "a", "red"), (0L, "a", "red"))
+      val t2 = triples(1000 until 1010, Seq("x", "y", "z"))
+      val mIn = (0 until 10).map(i => (i.toLong, 1000L + i)) :+ ((0L, 1001L))
+
+      def vals(t: Seq[(Long, String, String)], u: Long, a: String) = t.collect { case (`u`, `a`, v) => v }
+      val expected = for {
+        a1 <- Seq("a", "b", "c"); a2 <- Seq("x", "y", "z")
+        rows = mIn.map { case (u1, u2) => (vals(t1, u1, a1), vals(t2, u2, a2)) }
+        both = rows.filter { case (v1, v2) => v1.nonEmpty && v2.nonEmpty }
+        if both.nonEmpty
+      } yield (a1, a2, both.map { case (v1, v2) => StringSim.simL(v1, v2) }.sum /
+        (rows.count(_._1.nonEmpty) + rows.count(_._2.nonEmpty) - both.size))
+
+      def kbOf(t: Seq[(Long, String, String)]) =
+        KB.fromLocal(spark, t.map(_._1).distinct.map(u => (u, s"e$u", "t")), t, Seq.empty)
+      val got = AttributeMatcher.attributeSimilarities(spark, kbOf(t1), kbOf(t2), mIn.toDF("id1", "id2"))
+      assert(got.map(t => (t._1, t._2)) == expected.map(t => (t._1, t._2)), s"seed $seed")
+      got.zip(expected).foreach { case (g, e) => assert(math.abs(g._3 - e._3) < 1e-12, s"seed $seed: $g vs $e") }
+    }
   }
   test("empty initial matches yield no similarities") {
     val empty = Seq.empty[(Long, Long)].toDF("id1", "id2")
-    assert(AttributeMatcher.attributeSimilarities(spark, kb1, kb2, empty).count() == 0)
+    assert(AttributeMatcher.attributeSimilarities(spark, kb1, kb2, empty).isEmpty)
   }
   test("matchAttributes on empty sims is empty") {
-    val empty = Seq.empty[(String, String, Double)].toDF("a1", "a2", "sim")
-    assert(AttributeMatcher.matchAttributes(empty).isEmpty)
+    assert(AttributeMatcher.matchAttributes(Seq.empty).isEmpty)
   }
   test("minSim filters weak matches") {
     val m = AttributeMatcher.matchAttributes(sims, minSim = 1.01)

@@ -80,7 +80,6 @@ class ConsistencyEstimatorSpec extends SparkSpec {
       val mIn = ((0 until 8).map(i => (i.toLong, 1000L + i)) :+ ((0L, 1001L))).distinct
       val valueMatches = (for (v1 <- 100 until 110; v2 <- 1100 until 1110
                                if v2 - 1000 == v1 || rnd.nextDouble() < 0.1) yield (v1.toLong, v2.toLong))
-      val floor = 0.01
 
       val vm = valueMatches.toSet
       def values(t: Seq[(Long, String, Long)], u: Long, r: String) = t.filter(x => x._1 == u && x._2 == r).map(_._3)
@@ -90,14 +89,14 @@ class ConsistencyEstimatorSpec extends SparkSpec {
         }.sum
         val n1 = mIn.map { case (u1, _) => values(t1, u1, r1).size }.sum
         val n2 = mIn.map { case (_, u2) => values(t2, u2, r2).size }.sum
-        def clamp(x: Double) = math.min(1.0 - floor, math.max(floor, x))
+        def clamp(x: Double) = math.min(1.0 - ConsistencyEstimator.Floor, math.max(ConsistencyEstimator.Floor, x))
         (r1, r2) -> (sumL, ConsistencyEstimator.Consistency(
           clamp(sumL.toDouble / n1), clamp(sumL.toDouble / n2)))
       }).collect { case (k, (l, c)) if l > 0 => k -> c }.toMap
       assert(expected.nonEmpty)
 
       val eps = ConsistencyEstimator.estimate(spark, kbOf(t1, 1), kbOf(t2, 2), mIn.toDF("id1", "id2"),
-        Some(valueMatches.toDF("id1", "id2")), floor)
+        Some(valueMatches.toDF("id1", "id2")))
       assert(eps == expected, s"seed $seed")
     }
   }
