@@ -111,7 +111,9 @@ object NeighborPropagation {
           val e1 = math.min(1 - 1e-6, math.max(1e-6, eps.eps1))
           val e2 = math.min(1 - 1e-6, math.max(1e-6, eps.eps2))
           val zeta = e1 * e2 / ((1 - e1) * (1 - e2))
-          val pairs = capPairs(rows.map(t => (t._5, t._6, t._7)).distinct, MaxSide)
+          // Sorted by destination: rows arrive in shuffle order, and the
+          // floating-point sums in `marginals` follow the order of `pairs`.
+          val pairs = capPairs(rows.map(t => (t._5, t._6, t._7)).distinct.sortBy(t => (t._1, t._2)), MaxSide)
           pairs.iterator.zip(marginals(pairs, zeta).iterator).foreach { case ((d1, d2, _), pr) =>
             best((d1, d2)) = math.max(pr, best.getOrElse((d1, d2), pr))
           }
