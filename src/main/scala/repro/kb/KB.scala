@@ -1,7 +1,6 @@
 package repro.kb
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** A knowledge base K = (U, L, A, R, T) as three DataFrames (§III-A).
   *
@@ -16,14 +15,6 @@ final case class KB(entities: DataFrame, attrs: DataFrame, rels: DataFrame) {
   def numEntities: Long = entities.count()
   def numAttributes: Long = attrs.select("attr").distinct().count()
   def numRelationships: Long = rels.select("rel").distinct().count()
-
-  /** Entities that occur in no relationship triple (isolated; §VII-B). */
-  def isolatedEntities: DataFrame = {
-    val used = rels.select(col("subj").as("id"))
-      .union(rels.select(col("obj").as("id")))
-      .distinct()
-    entities.join(used, Seq("id"), "left_anti")
-  }
 
   def cache(): KB = KB(entities.cache(), attrs.cache(), rels.cache())
 }

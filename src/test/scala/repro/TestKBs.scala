@@ -1,6 +1,7 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 import repro.kb.KB
 
 /** Tiny handcrafted KB pair modelled on the paper's Figure 1 (YAGO/DBpedia
@@ -39,4 +40,12 @@ object TestKBs {
   /** All 7 gold matches of the Figure-1 fixture. */
   val figure1Gold: Set[(Long, Long)] =
     (1L to 7L).map(i => (i, i + Off)).toSet
+
+  /** Entities of `kb` that occur in no relationship triple (isolated; §VII-B). */
+  def isolatedEntities(kb: KB): DataFrame = {
+    val used = kb.rels.select(col("subj").as("id"))
+      .union(kb.rels.select(col("obj").as("id")))
+      .distinct()
+    kb.entities.join(used, Seq("id"), "left_anti")
+  }
 }

@@ -10,7 +10,7 @@ class KBSpec extends SparkSpec {
   test("attribute count") { assert(kb1.numAttributes == 3) }
   test("relationship count") { assert(kb1.numRelationships == 3) }
   test("no isolated entities in the figure-1 fixture") {
-    assert(kb1.isolatedEntities.count() == 0)
+    assert(TestKBs.isolatedEntities(kb1).count() == 0)
   }
   test("isolated entities are those in no relationship triple") {
     import spark.implicits._
@@ -18,10 +18,10 @@ class KBSpec extends SparkSpec {
       Seq((1L, "a", "t"), (2L, "b", "t"), (3L, "c", "t")),
       Seq.empty,
       Seq((1L, "r", 2L)))
-    assert(kb.isolatedEntities.collect().map(_.getLong(0)).toSet == Set(3L))
+    assert(TestKBs.isolatedEntities(kb).collect().map(_.getLong(0)).toSet == Set(3L))
   }
   test("isolated entities agree with a DuckDB anti-join oracle") {
-    val iso = kb1.isolatedEntities.select("id")
+    val iso = TestKBs.isolatedEntities(kb1).select("id")
     Oracle.assertEquivalent(
       iso,
       """SELECT id FROM entities e

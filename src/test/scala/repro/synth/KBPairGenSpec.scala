@@ -1,6 +1,6 @@
 package repro.synth
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestKBs}
 import org.apache.spark.sql.functions._
 
 class KBPairGenSpec extends SparkSpec {
@@ -48,11 +48,11 @@ class KBPairGenSpec extends SparkSpec {
     assert(dy.kb1.numRelationships > dy.kb2.numRelationships)
   }
   test("dy has a large isolated-entity fraction") {
-    val iso = dy.kb1.isolatedEntities.count().toDouble / dy.kb1.numEntities
+    val iso = TestKBs.isolatedEntities(dy.kb1).count().toDouble / dy.kb1.numEntities
     assert(iso > 0.3, s"isolated fraction $iso")
   }
   test("iimb has a small isolated-entity fraction") {
-    val iso = iimb.kb1.isolatedEntities.count().toDouble / iimb.kb1.numEntities
+    val iso = TestKBs.isolatedEntities(iimb.kb1).count().toDouble / iimb.kb1.numEntities
     assert(iso < 0.15, s"isolated fraction $iso")
   }
   test("relationship triples reference entities of the same KB") {
