@@ -16,12 +16,8 @@ import repro.util.{Hungarian, StringSim}
   */
 object AttributeMatcher {
 
-  /** (a1, a2, sim) for every attribute pair with nonzero two-sided support,
-    * sorted by (a1, a2).
-    *
-    * Spark aggregates Σ sim_L and the two-sided support n_both per (a1, a2),
-    * and the supports n₁ per a1 and n₂ per a2; the driver divides:
-    * sim = Σ sim_L / (n₁ + n₂ − n_both).
+  /** (a1, a2, sim), sorted, for every attribute pair with nonzero two-sided
+    * support. Spark sums sim_L and counts the supports; the driver divides.
     */
   def attributeSimilarities(
       spark: SparkSession, kb1: KB, kb2: KB, mIn: DataFrame,
@@ -43,12 +39,10 @@ object AttributeMatcher {
       .agg(sum("s"), count(lit(1)))
       .collect()
 
-    // Rows of j per attribute: the initial matches where that side has values.
+    // One-sided supports: the initial matches where that side has values.
     def support(j: DataFrame, a: String): Map[String, Long] =
       j.groupBy(a).count().collect().map(r => r.getString(0) -> r.getLong(1)).toMap
-    val n1 = support(j1, "a1")
-    val n2 = support(j2, "a2")
-
+    val (n1, n2) = (support(j1, "a1"), support(j2, "a2"))
     both.toSeq.map { r =>
       val (a1, a2) = (r.getString(0), r.getString(1))
       (a1, a2, r.getDouble(2) / (n1(a1) + n2(a2) - r.getLong(3)))

@@ -21,22 +21,18 @@ object SimVectors {
       kb1: KB, kb2: KB,
       attrMatches: Seq[(String, String, Double)],
       literalThreshold: Double = 0.9): DataFrame = {
-    val mAt = attrMatches.map { case (a1, a2, _) => (a1, a2) }
-    val dim = mAt.size
+    val dim = attrMatches.size
     if (dim == 0) return candidates.withColumn("vec", array())
 
-    // [id, pos, vals] for every entity and vector position: the values of the
-    // attribute matched at `pos`. An attribute in several matches (a no-1:1
-    // list) fills each of its positions.
-    def valueLists(kb: KB, attrs: Seq[String], side: Int): DataFrame = {
-      val positions = typedLit(attrs.zipWithIndex.groupMap(_._1)(_._2))
+    // [id, pos, vals]: an attribute in several matches (a no-1:1 list) fills
+    // each of its positions.
+    def valueLists(kb: KB, attrs: Seq[String], side: Int): DataFrame =
       kb.attrs.select(col("subj").as(s"id$side"),
-          explode(element_at(positions, col("attr"))).as("pos"), col("value"))
-        .groupBy(s"id$side", "pos")
-        .agg(collect_list("value").as(s"vals$side"))
-    }
-    val g1 = valueLists(kb1, mAt.map(_._1), 1)
-    val g2 = valueLists(kb2, mAt.map(_._2), 2)
+          explode(element_at(typedLit(attrs.zipWithIndex.groupMap(_._1)(_._2)), col("attr"))).as("pos"),
+          col("value"))
+        .groupBy(s"id$side", "pos").agg(collect_list("value").as(s"vals$side"))
+    val g1 = valueLists(kb1, attrMatches.map(_._1), 1)
+    val g2 = valueLists(kb2, attrMatches.map(_._2), 2)
 
     val simL = udf((v1: Seq[String], v2: Seq[String]) =>
       StringSim.simL(v1, v2, literalThreshold))

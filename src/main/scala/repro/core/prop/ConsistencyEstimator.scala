@@ -26,13 +26,11 @@ object ConsistencyEstimator {
 
   final case class Consistency(eps1: Double, eps2: Double)
 
-  /** Estimates are clamped into [Floor, 1 − Floor]. */
   val Floor = 0.01
 
   /** Binomial MLE of (ε₁, ε₂) for every relationship pair with at least one
     * observed value match: ε_i = Σ L / Σ n_i, clamped into
-    * [`Floor`, 1 − `Floor`]. Spark counts Σ L per (r1, r2), Σ n₁ per r1 and
-    * Σ n₂ per r2; the driver divides.
+    * [`Floor`, 1 − `Floor`]. Spark counts the sums; the driver divides.
     *
     * `valueMatches` decides which value pairs count as matched. Defaulting to
     * M_in alone biases ε down (the paper's latent-L MLE credits likely
@@ -51,8 +49,7 @@ object ConsistencyEstimator {
       .groupBy("r1", "r2").count().collect()
     def sumN(j: DataFrame, r: String): Map[String, Long] =
       j.groupBy(r).count().collect().map(row => row.getString(0) -> row.getLong(1)).toMap
-    val sumN1 = sumN(j1, "r1")
-    val sumN2 = sumN(j2, "r2")
+    val (sumN1, sumN2) = (sumN(j1, "r1"), sumN(j2, "r2"))
 
     // Every observed (r1, r2) has a row in j1 and in j2, so both sums are ≥ 1.
     def clamp(x: Double): Double = math.min(1.0 - Floor, math.max(Floor, x))

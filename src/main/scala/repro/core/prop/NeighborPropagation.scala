@@ -24,10 +24,8 @@ import repro.core.prop.ConsistencyEstimator.Consistency
   */
 object NeighborPropagation {
 
-  /** The most entities per side of one enumerated candidate set.
-    * `marginals` marks the used right-hand entities in a 64-bit mask, so it
-    * must stay ≤ 64.
-    */
+  /** Most entities per side of one enumerated candidate set; at most 64, as
+    * `marginals` marks the used right-hand entities in a 64-bit mask. */
   val MaxSide = 6
   require(MaxSide <= 64, "marginals tracks right-hand entities in a 64-bit mask")
 
@@ -86,8 +84,7 @@ object NeighborPropagation {
     * with prob = max over edge labels of the per-label posterior (Eq. 9).
     *
     * `edges` are ER-graph edges; `priors` carry [id1, id2, prior];
-    * `consistency` maps (r1, r2) → (ε₁, ε₂). One group per source vertex
-    * holds all its labels.
+    * `consistency` maps (r1, r2) → (ε₁, ε₂).
     */
   def probabilisticEdges(
       spark: SparkSession,

@@ -60,22 +60,17 @@ object PreparedDump {
   private def entries[K, V](m: Map[K, V]): Seq[String] =
     m.toSeq.map { case (k, v) => s"${cell(k)} -> ${cell(v)}" }.sorted
 
-  /** A local session with the given shuffle partitions and AQE setting;
-    * broadcast joins are off, as in the tests and the benchmark.
-    */
-  def session(partitions: Int, aqe: Boolean): SparkSession =
-    SparkSession.builder()
+  def main(args: Array[String]): Unit = {
+    val Array(profile, scale, partitions, aqe, out) = args
+    // Broadcast joins off, as in the tests and the benchmark.
+    val spark = SparkSession.builder()
       .master("local[4]")
       .appName("prepared-dump")
       .config("spark.sql.shuffle.partitions", partitions.toLong)
-      .config("spark.sql.adaptive.enabled", aqe)
+      .config("spark.sql.adaptive.enabled", aqe.toBoolean)
       .config("spark.sql.autoBroadcastJoinThreshold", -1L)
       .config("spark.ui.enabled", value = false)
       .getOrCreate()
-
-  def main(args: Array[String]): Unit = {
-    val Array(profile, scale, partitions, aqe, out) = args
-    val spark = session(partitions.toInt, aqe.toBoolean)
     val pair = KBPairGen.generate(spark, KBPairGen.profile(profile, scale.toDouble))
     val dump = apply(Remp.prepare(spark, pair))
     Files.write(Paths.get(out), dump.mkString("", "\n", "\n").getBytes(StandardCharsets.UTF_8))

@@ -5,7 +5,8 @@ import org.apache.spark.sql.functions.col
 import repro.kb.KB
 
 /** Tiny handcrafted KB pair modelled on the paper's Figure 1 (YAGO/DBpedia
-  * fragment: persons, movies, cities). KB2 ids are KB1 ids + 100.
+  * fragment: persons, movies, cities), KB2 ids being KB1 ids + 100; and
+  * helpers that build other small KBs for tests.
   */
 object TestKBs {
   val Joan = 1L; val John = 2L; val Tim = 3L
@@ -48,4 +49,20 @@ object TestKBs {
       .distinct()
     kb.entities.join(used, Seq("id"), "left_anti")
   }
+
+  /** Seeded attribute triples: each (entity, attribute) gets 0–2 values from
+    * a small pool, so values repeat and many entities lack an attribute.
+    */
+  def randomAttrs(rnd: scala.util.Random, subjs: Range, attrs: Seq[String]): Seq[(Long, String, String)] = {
+    val pool = Seq("1900", "1901", "1950", "red car", "red", "blue car", "blue", "x y z")
+    for (u <- subjs; a <- attrs; _ <- 0 until rnd.nextInt(3)) yield (u.toLong, a, pool(rnd.nextInt(pool.size)))
+  }
+
+  /** The values of `a` on entity `u`, in triple order. */
+  def values(t: Seq[(Long, String, String)], u: Long, a: String): Seq[String] =
+    t.collect { case (`u`, `a`, v) => v }
+
+  /** A KB with the attribute triples `t` and no relationships. */
+  def attrKB(spark: SparkSession, t: Seq[(Long, String, String)]): KB =
+    KB.fromLocal(spark, t.map(_._1).distinct.map(u => (u, s"e$u", "t")), t, Seq.empty)
 }

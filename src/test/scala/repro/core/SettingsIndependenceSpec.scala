@@ -25,6 +25,8 @@ class SettingsIndependenceSpec extends SparkSpec {
   }
 
   test("prepare and a session are the same under shuffle partitions {4, 64} × AQE {off, on}") {
+    // Small, yet large enough for NeighborPropagation's per-group sums to
+    // differ at 64 partitions if they followed the shuffle order.
     val pair = KBPairGen.generate(spark, KBPairGen.profile("iimb", scale = 0.1))
     val (dump, session) = outputs(pair, 4, aqe = false)
     for ((partitions, aqe) <- Seq((64, false), (4, true), (64, true))) {

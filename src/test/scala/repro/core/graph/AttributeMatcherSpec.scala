@@ -1,7 +1,6 @@
 package repro.core.graph
 
 import repro.{SparkSpec, TestKBs}
-import repro.kb.KB
 import repro.util.StringSim
 
 class AttributeMatcherSpec extends SparkSpec {
@@ -52,27 +51,22 @@ class AttributeMatcherSpec extends SparkSpec {
     // Seeded random triples: each (entity, attribute) has 0–2 values from a
     // small pool, so values repeat and many matches have values on one side
     // only; entity 0 of KB1 is in two initial matches.
-    val pool = Seq("1900", "1901", "1950", "red car", "red", "blue car", "blue", "x y z")
     for (seed <- 1 to 4) {
       val rnd = new scala.util.Random(seed)
-      def triples(subjs: Range, attrs: Seq[String]) =
-        for (u <- subjs; a <- attrs; _ <- 0 until rnd.nextInt(3)) yield (u.toLong, a, pool(rnd.nextInt(pool.size)))
-      val t1 = triples(0 until 10, Seq("a", "b", "c")) ++ Seq((0L, "a", "red"), (0L, "a", "red"))
-      val t2 = triples(1000 until 1010, Seq("x", "y", "z"))
+      val t1 = TestKBs.randomAttrs(rnd, 0 until 10, Seq("a", "b", "c")) ++ Seq((0L, "a", "red"), (0L, "a", "red"))
+      val t2 = TestKBs.randomAttrs(rnd, 1000 until 1010, Seq("x", "y", "z"))
       val mIn = (0 until 10).map(i => (i.toLong, 1000L + i)) :+ ((0L, 1001L))
 
-      def vals(t: Seq[(Long, String, String)], u: Long, a: String) = t.collect { case (`u`, `a`, v) => v }
       val expected = for {
         a1 <- Seq("a", "b", "c"); a2 <- Seq("x", "y", "z")
-        rows = mIn.map { case (u1, u2) => (vals(t1, u1, a1), vals(t2, u2, a2)) }
+        rows = mIn.map { case (u1, u2) => (TestKBs.values(t1, u1, a1), TestKBs.values(t2, u2, a2)) }
         both = rows.filter { case (v1, v2) => v1.nonEmpty && v2.nonEmpty }
         if both.nonEmpty
       } yield (a1, a2, both.map { case (v1, v2) => StringSim.simL(v1, v2) }.sum /
         (rows.count(_._1.nonEmpty) + rows.count(_._2.nonEmpty) - both.size))
 
-      def kbOf(t: Seq[(Long, String, String)]) =
-        KB.fromLocal(spark, t.map(_._1).distinct.map(u => (u, s"e$u", "t")), t, Seq.empty)
-      val got = AttributeMatcher.attributeSimilarities(spark, kbOf(t1), kbOf(t2), mIn.toDF("id1", "id2"))
+      val got = AttributeMatcher.attributeSimilarities(spark,
+        TestKBs.attrKB(spark, t1), TestKBs.attrKB(spark, t2), mIn.toDF("id1", "id2"))
       assert(got.map(t => (t._1, t._2)) == expected.map(t => (t._1, t._2)), s"seed $seed")
       got.zip(expected).foreach { case (g, e) => assert(math.abs(g._3 - e._3) < 1e-12, s"seed $seed: $g vs $e") }
     }

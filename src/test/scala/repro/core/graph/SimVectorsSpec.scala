@@ -2,7 +2,6 @@ package repro.core.graph
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestKBs}
-import repro.kb.KB
 import repro.util.StringSim
 
 class SimVectorsSpec extends SparkSpec {
@@ -58,27 +57,21 @@ class SimVectorsSpec extends SparkSpec {
   test("withVectors equals vectors built by hand, with a non-injective match list") {
     // Seeded random triples with repeated values; attribute a and attribute y
     // are each in two matches, and w has no KB2 values at all.
-    val pool = Seq("1900", "1901", "1950", "red car", "red", "blue car", "blue", "x y z")
     val rnd = new scala.util.Random(5)
-    def triples(subjs: Range, attrs: Seq[String]) =
-      for (u <- subjs; a <- attrs; _ <- 0 until rnd.nextInt(3)) yield (u.toLong, a, pool(rnd.nextInt(pool.size)))
-    val t1 = triples(0 until 10, Seq("a", "b", "c"))
-    val t2 = triples(1000 until 1010, Seq("x", "y", "z"))
+    val t1 = TestKBs.randomAttrs(rnd, 0 until 10, Seq("a", "b", "c"))
+    val t2 = TestKBs.randomAttrs(rnd, 1000 until 1010, Seq("x", "y", "z"))
     val matches = Seq(("a", "x", 1.0), ("a", "y", 0.9), ("b", "y", 0.8), ("c", "w", 0.7))
     val pairs = for (u1 <- 0L until 10L; u2 <- 1000L until 1010L if rnd.nextDouble() < 0.4) yield (u1, u2)
 
-    def vals(t: Seq[(Long, String, String)], u: Long, a: String) = t.collect { case (`u`, `a`, v) => v }
     val expected = pairs.map { case (u1, u2) =>
       (u1, u2) -> matches.map { case (a1, a2, _) =>
-        val (v1, v2) = (vals(t1, u1, a1), vals(t2, u2, a2))
+        val (v1, v2) = (TestKBs.values(t1, u1, a1), TestKBs.values(t2, u2, a2))
         if (v1.isEmpty || v2.isEmpty) 0.0 else StringSim.simL(v1, v2)
       }
     }.toMap
 
-    def kbOf(t: Seq[(Long, String, String)]) =
-      KB.fromLocal(spark, t.map(_._1).distinct.map(u => (u, s"e$u", "t")), t, Seq.empty)
     val cands = pairs.map { case (u1, u2) => (u1, u2, 0.5, false) }.toDF("id1", "id2", "prior", "exact")
-    val got = SimVectors.withVectors(spark, cands, kbOf(t1), kbOf(t2), matches)
+    val got = SimVectors.withVectors(spark, cands, TestKBs.attrKB(spark, t1), TestKBs.attrKB(spark, t2), matches)
       .select("id1", "id2", "vec").collect()
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getSeq[Double](2)).toMap
     assert(got == expected)
