@@ -36,7 +36,12 @@ object Remp {
       attrMinSim: Double = 0.4,
       literalThreshold: Double = 0.9,
       maxLoops: Int = 500,
-      selection: Selection = Selection.Greedy)
+      selection: Selection = Selection.Greedy) {
+    require(tau > 0 && tau <= 1, s"tau must lie in (0, 1], got $tau")
+    require(mu >= 1, s"mu must be at least 1, got $mu")
+    require(k >= 1, s"k must be at least 1, got $k")
+    require(maxLoops >= 0, s"maxLoops must not be negative, got $maxLoops")
+  }
 
   /** Everything computed before the first crowd round. All competing methods
     * consume the same retained matches M_rd (as in the paper's setup).
@@ -165,17 +170,13 @@ object Remp {
     }
 
     // Isolated-pair classifier (§VII-B): resolved matches are positives;
-    // unresolved + labelled non-matches are negatives.
-    val classifierM: Set[Pair] =
-      if (prepared.isolated.isEmpty) Set.empty
-      else {
-        def feat(p: Pair): Array[Double] =
-          prepared.vecs.getOrElse(p, Array.empty) :+ prepared.priors.getOrElse(p, 0.0)
-        val positives = (labelledM ++ inferredM).toSeq.map(p => (p, feat(p), true))
-        val negatives = (labelledN ++ unresolved).toSeq.map(p => (p, feat(p), false))
-        val isolatedFeats = prepared.isolated.toSeq.map(p => (p, feat(p)))
-        IsolatedClassifier.classify(positives ++ negatives, isolatedFeats)
-      }
+    // unresolved + labelled non-matches are negatives. Every connected and
+    // isolated pair is a retained pair, so it has a vector and a prior.
+    def feat(p: Pair): Array[Double] = prepared.vecs(p) :+ prepared.priors(p)
+    val positives = (labelledM ++ inferredM).toSeq.map(p => (p, feat(p), true))
+    val negatives = (labelledN ++ unresolved).toSeq.map(p => (p, feat(p), false))
+    val isolatedFeats = prepared.isolated.toSeq.map(p => (p, feat(p)))
+    val classifierM = IsolatedClassifier.classify(positives ++ negatives, isolatedFeats)
 
     val matches = labelledM.toSet ++ inferredM.toSet ++ classifierM
     Result(matches, questions, loops,

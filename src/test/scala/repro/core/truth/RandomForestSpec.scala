@@ -67,4 +67,81 @@ class RandomForestSpec extends PropSpec {
       new RandomForest().predictProb(Array(0.0))
     }
   }
+
+  // Grids of few values make ties and duplicate rows common; the last one
+  // adds signed zeros, infinities and NaN, whose midpoints can send every
+  // row to one side of a split.
+  private val grids = Seq(
+    Array(0.0, 0.5, 1.0),
+    Array(-0.0, 0.0, 0.25, 0.5, 0.75, 1.0),
+    Array(Double.NegativeInfinity, -0.0, 0.0, 1.0, Double.MaxValue,
+      Double.PositiveInfinity, Double.NaN))
+
+  /** n rows of d features; features below `constant` are constant, the rest
+    * drawn from `grid`. The label follows the first varying feature, with
+    * some noise so trees grow deep.
+    */
+  private def gridData(rnd: scala.util.Random, n: Int, d: Int, grid: Array[Double],
+                       constant: Int): (Array[Array[Double]], Array[Boolean]) = {
+    val distinct = Array.fill(math.max(1, n / 3)) {
+      Array.tabulate(d)(f => if (f < constant) 0.5 else grid(rnd.nextInt(grid.length)))
+    }
+    val xs = Array.fill(n)(distinct(rnd.nextInt(distinct.length)).clone())
+    val ys = xs.map { x =>
+      val v = if (constant < d) x(constant) else 0.0
+      (v > 0.4) != (rnd.nextDouble() < 0.2)
+    }
+    (xs, ys)
+  }
+
+  private def assertSameForest(xs: Array[Array[Double]], ys: Array[Boolean], fresh: Array[Array[Double]],
+                               nTrees: Int, maxDepth: Int, seed: Long): Unit = {
+    val forest = new RandomForest(nTrees = nTrees, maxDepth = maxDepth, seed = seed).fit(xs, ys)
+    val reference = new ReferenceForest(nTrees = nTrees, maxDepth = maxDepth, seed = seed).fit(xs, ys)
+    for ((x, i) <- (xs ++ fresh).zipWithIndex) {
+      val got = forest.predictProb(x)
+      val want = reference.predictProb(x)
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
+        s"row $i (${x.mkString(",")}): $got != $want (nTrees=$nTrees maxDepth=$maxDepth)")
+    }
+  }
+
+  test("predicts bit-equal probabilities to the per-node-sort reference") {
+    forSeeds(12) { rnd =>
+      for (d <- Seq(1, 2, 4, 13)) {
+        val grid = grids(rnd.nextInt(grids.length))
+        // With all but one feature constant, the first √d shuffled features
+        // are often constant, and the split search must keep looking.
+        val constant = if (rnd.nextBoolean()) d - 1 else 0
+        val (xs, ys) = gridData(rnd, 20 + rnd.nextInt(120), d, grid, constant)
+        val fresh = Array.fill(30)(Array.fill(d)(
+          if (rnd.nextBoolean()) grid(rnd.nextInt(grid.length)) else rnd.nextDouble()))
+        val nTrees = if (rnd.nextBoolean()) 50 else 100
+        val maxDepth = if (rnd.nextBoolean()) 3 else 20
+        assertSameForest(xs, ys, fresh, nTrees, maxDepth, rnd.nextLong())
+      }
+    }
+  }
+  test("zero-feature rows: every tree is one leaf at its bootstrap's positive rate") {
+    val ys = Array.tabulate(30)(_ % 3 == 0)
+    val xs = Array.fill(30)(Array.empty[Double])
+    val f = new RandomForest(nTrees = 20, seed = 5).fit(xs, ys)
+    val rnd = new scala.util.Random(5)
+    val rates = Seq.fill(20)(Seq.fill(30)(rnd.nextInt(30)).count(ys(_)).toDouble / 30)
+    assert(f.predictProb(Array.empty) == rates.sum / 20)
+    assertSameForest(xs, ys, Array.empty, nTrees = 20, maxDepth = 20, seed = 5)
+  }
+  test("ragged training rows are rejected") {
+    val xs = Array(Array(0.1, 0.2), Array(0.3), Array(0.5, 0.6))
+    intercept[IllegalArgumentException] {
+      new RandomForest(nTrees = 5).fit(xs, Array(true, false, true))
+    }
+  }
+  test("a vector whose length is not the fitted dimension is rejected") {
+    val rnd = new scala.util.Random(6)
+    val (xs, ys) = separable(40, rnd)
+    val f = new RandomForest(nTrees = 5).fit(xs, ys)
+    intercept[IllegalArgumentException](f.predictProb(Array(0.5)))
+    intercept[IllegalArgumentException](f.predictProb(Array(0.5, 0.5, 0.5)))
+  }
 }
