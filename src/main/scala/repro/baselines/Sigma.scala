@@ -17,20 +17,20 @@ object Sigma {
   type Pair = (Long, Long)
 
   /** @param edges  ER graph edges [srcId1, srcId2, dstId1, dstId2, r1, r2]
-    * @param priors label-similarity priors [id1, id2, prior]
+    * @param prior  label-similarity prior of every retained pair
     */
-  def run(edges: DataFrame, priors: DataFrame, seeds: Set[Pair],
+  def run(edges: DataFrame, prior: Map[Pair, Double], seeds: Set[Pair],
           alpha: Double = 0.4, threshold: Double = 0.35): Set[Pair] = {
-    val prior = priors.collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
-    // Undirected neighbour lists over the ER graph.
+    // Undirected neighbour lists over the ER graph, built in edge order so
+    // that the queue's tie order does not follow Spark's partitioning.
     val nbrs = collection.mutable.Map.empty[Pair, List[Pair]]
-    edges.select("srcId1", "srcId2", "dstId1", "dstId2").distinct().collect().foreach { r =>
-      val s = (r.getLong(0), r.getLong(1))
-      val d = (r.getLong(2), r.getLong(3))
-      nbrs(s) = d :: nbrs.getOrElse(s, Nil)
-      nbrs(d) = s :: nbrs.getOrElse(d, Nil)
-    }
+    edges.select("srcId1", "srcId2", "dstId1", "dstId2").distinct().collect()
+      .map(r => ((r.getLong(0), r.getLong(1)), (r.getLong(2), r.getLong(3))))
+      .sorted
+      .foreach { case (s, d) =>
+        nbrs(s) = d :: nbrs.getOrElse(s, Nil)
+        nbrs(d) = s :: nbrs.getOrElse(d, Nil)
+      }
     val matched = collection.mutable.Set.empty[Pair]
     val used1 = collection.mutable.Set.empty[Long]
     val used2 = collection.mutable.Set.empty[Long]

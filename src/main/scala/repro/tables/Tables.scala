@@ -1,7 +1,6 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.baselines._
 import repro.core.{Metrics, Remp}
 import repro.core.truth.WorkerPool
@@ -28,14 +27,15 @@ object Tables {
     Map("iimb" -> "IIMB", "da" -> "D-A", "iy" -> "I-Y", "dy" -> "D-Y")
 
   final case class Ctx(pair: KBPair, prepared: Remp.Prepared, gold: Set[Pair]) {
+    /** Every retained pair with its prior, vector and KB1 entity type, in
+      * pair order: POWER and Corleone break ties by this order, so it must
+      * not follow Spark's partitioning.
+      */
     lazy val candFeatures: Seq[CrowdBaselines.Cand] = {
-      val etypes = pair.kb1.entities.select(col("id").as("id1"), col("etype"))
-      prepared.retained.join(etypes, "id1")
-        .select("id1", "id2", "prior", "vec", "etype")
-        .collect()
-        .map(r => CrowdBaselines.Cand((r.getLong(0), r.getLong(1)), r.getDouble(2),
-          r.getSeq[Double](3).toArray, r.getString(4)))
-        .toSeq
+      val etype = pair.kb1.entities.select("id", "etype").collect()
+        .map(r => r.getLong(0) -> r.getString(1)).toMap
+      prepared.priors.keys.toSeq.sorted.map(p =>
+        CrowdBaselines.Cand(p, prepared.priors(p), prepared.vecs(p), etype(p._1)))
     }
 
     /** Question difficulty for the simulated crowd (real-worker tables): a
@@ -210,7 +210,7 @@ object Tables {
       val paris = fractions.map(avgOver(
         s => Paris.run(c.prepared.edges, kb1a, kb2a, s), _))
       val sigma = fractions.map(avgOver(
-        s => Sigma.run(c.prepared.edges, c.prepared.retained.select("id1", "id2", "prior"), s), _))
+        s => Sigma.run(c.prepared.edges, c.prepared.priors, s), _))
       TableVIRow(p, fractions, remp, paris, sigma)
     }
     val rows = data.flatMap { r =>

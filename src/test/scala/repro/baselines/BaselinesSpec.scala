@@ -35,21 +35,18 @@ class BaselinesSpec extends SparkSpec {
 
   // --- SiGMa ---
   test("SiGMa propagates seeds to new matches with decent precision") {
-    val out = Sigma.run(ctx.prepared.edges,
-      ctx.prepared.retained.select("id1", "id2", "prior"), seeds50)
+    val out = Sigma.run(ctx.prepared.edges, ctx.prepared.priors, seeds50)
     assert(out.size > seeds50.size)
     val prf = Metrics.prfSets(out, ctx.gold)
     assert(prf.precision > 0.5, s"$prf")
   }
   test("SiGMa enforces a hard 1:1 matching") {
-    val out = Sigma.run(ctx.prepared.edges,
-      ctx.prepared.retained.select("id1", "id2", "prior"), seeds50)
+    val out = Sigma.run(ctx.prepared.edges, ctx.prepared.priors, seeds50)
     assert(out.toSeq.map(_._1).distinct.size == out.size)
     assert(out.toSeq.map(_._2).distinct.size == out.size)
   }
   test("SiGMa includes all non-conflicting seeds") {
-    val out = Sigma.run(ctx.prepared.edges,
-      ctx.prepared.retained.select("id1", "id2", "prior"), seeds50)
+    val out = Sigma.run(ctx.prepared.edges, ctx.prepared.priors, seeds50)
     assert(seeds50.subsetOf(out))
   }
 
