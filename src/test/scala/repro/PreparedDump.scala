@@ -2,9 +2,10 @@ package repro
 
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row}
 import repro.core.Remp
 import repro.synth.KBPairGen
+import repro.util.SparkSessions
 
 /** Every field of a `Remp.Prepared` as text, with each double written as its
   * raw IEEE-754 bits, so two dumps are equal exactly when the outputs are
@@ -14,8 +15,9 @@ import repro.synth.KBPairGen
   * carries meaning (`attrMatches`, whose order fixes the vector positions,
   * and each inferred list) keep it.
   *
-  * As a tool, `main` prepares one generated profile under given Spark
-  * settings and writes its dump to a file:
+  * As a tool, `main` prepares one generated profile in the shared session
+  * (`repro.util.SparkSessions`), with its shuffle partition count and
+  * adaptive execution set from the arguments, and writes its dump to a file:
   * {{{
   * sbt "Test/runMain repro.PreparedDump <profile> <scale> <partitions> <aqe:true|false> <out-file>"
   * }}}
@@ -62,15 +64,9 @@ object PreparedDump {
 
   def main(args: Array[String]): Unit = {
     val Array(profile, scale, partitions, aqe, out) = args
-    // Broadcast joins off, as in the tests and the benchmark.
-    val spark = SparkSession.builder()
-      .master("local[4]")
-      .appName("prepared-dump")
-      .config("spark.sql.shuffle.partitions", partitions.toLong)
-      .config("spark.sql.adaptive.enabled", aqe.toBoolean)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1L)
-      .config("spark.ui.enabled", value = false)
-      .getOrCreate()
+    val spark = SparkSessions.create("prepared-dump")
+    spark.conf.set("spark.sql.shuffle.partitions", partitions.toLong)
+    spark.conf.set("spark.sql.adaptive.enabled", aqe.toBoolean)
     val pair = KBPairGen.generate(spark, KBPairGen.profile(profile, scale.toDouble))
     val dump = apply(Remp.prepare(spark, pair))
     Files.write(Paths.get(out), dump.mkString("", "\n", "\n").getBytes(StandardCharsets.UTF_8))
