@@ -16,10 +16,10 @@ object Metrics {
   }
 
   /** Precision/recall/F1 of `found` against `gold`. */
-  def prfSets(found: Set[(Long, Long)], gold: Set[(Long, Long)]): PRF = {
+  def prfSets[A](found: Set[A], gold: Set[A]): PRF = {
     if (found.isEmpty) return PRF(0.0, 0.0, 0.0)
     val tp = found.intersect(gold).size.toDouble
-    val p = if (found.nonEmpty) tp / found.size else 0.0
+    val p = tp / found.size
     val r = if (gold.nonEmpty) tp / gold.size else 0.0
     val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
     PRF(p, r, f1)

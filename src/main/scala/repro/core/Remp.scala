@@ -132,8 +132,10 @@ object Remp {
     var continue = true
     while (continue && loops < cfg.maxLoops) {
       // Stop when no unresolved pair can infer another unresolved pair (§III-B).
+      // Every connected pair is a propagation source, so it has an inferred
+      // list (holding at least itself) and a prior.
       val askable = unresolved.filter { q =>
-        inferredSeqs.getOrElse(q, Seq.empty).exists(p => p != q && unresolved.contains(p))
+        inferredSeqs(q).exists(p => p != q && unresolved.contains(p))
       }.toSet
       if (askable.isEmpty) continue = false
       else {
@@ -150,12 +152,12 @@ object Remp {
           for (q <- selected) {
             val truth = prepared.gold.contains(q)
             val (labels, quals) = pool.labelFor(q, truth)
-            val post = WorkerPool.posterior(priors.getOrElse(q, 0.5), labels, quals)
+            val post = WorkerPool.posterior(priors(q), labels, quals)
             WorkerPool.verdict(post) match {
               case WorkerPool.IsMatch =>
                 labelledM += q
                 unresolved -= q
-                for ((p, _) <- prepared.inferred.getOrElse(q, Seq.empty) if p != q) {
+                for ((p, _) <- prepared.inferred(q) if p != q) {
                   if (unresolved.remove(p)) inferredM += p
                 }
               case WorkerPool.IsNonMatch =>

@@ -7,7 +7,9 @@ import scala.collection.mutable
   * benefit(Q) = Σ_p Pr[p ∈ inferred(H) | Q] with
   * Pr[p ∈ inferred(H) | Q] = 1 − ∏_{q∈Q : p∈inferred(q)} (1 − Pr[m_q]).
   * The benefit is increasing and submodular (Theorem 2), so the lazy greedy
-  * algorithm gives the (1 − 1/e) guarantee. Selection is inherently
+  * algorithm gives the (1 − 1/e) guarantee. Every candidate must have a
+  * prior and an inferred set; one without is rejected
+  * (`NoSuchElementException`). Selection is inherently
   * sequential and operates on the (small) collected inferred sets, so it runs
   * on the driver, as does computing inferred(·) itself (Algorithm 2, see
   * DistantPropagation).
@@ -23,8 +25,8 @@ object QuestionSelection {
       priors: Map[Pair, Double],
       unresolved: Set[Pair],
       b: mutable.Map[Pair, Double]): Double = {
-    val pq = priors.getOrElse(q, 0.0)
-    inferred.getOrElse(q, Seq.empty).iterator
+    val pq = priors(q)
+    inferred(q).iterator
       .filter(unresolved.contains)
       .map(p => (1.0 - b.getOrElse(p, 0.0)) * pq)
       .sum
@@ -53,8 +55,8 @@ object QuestionSelection {
         if (fresh >= nextBest) {
           if (fresh > 0) {
             selected += q
-            val pqPrior = priors.getOrElse(q, 0.0)
-            for (p <- inferred.getOrElse(q, Seq.empty) if unresolved.contains(p)) {
+            val pqPrior = priors(q)
+            for (p <- inferred(q) if unresolved.contains(p)) {
               val old = b.getOrElse(p, 0.0)
               b(p) = old + (1.0 - old) * pqPrior
             }
@@ -74,7 +76,7 @@ object QuestionSelection {
       unresolved: Set[Pair],
       mu: Int): Seq[Pair] =
     candidates.toSeq
-      .map(q => (q, inferred.getOrElse(q, Seq.empty).count(unresolved.contains)))
+      .map(q => (q, inferred(q).count(unresolved.contains)))
       .filter(_._2 > 0)
       .sortBy { case ((i1, i2), n) => (-n, i1, i2) }
       .take(mu).map(_._1)
@@ -85,21 +87,7 @@ object QuestionSelection {
       candidates: Set[Pair],
       mu: Int): Seq[Pair] =
     candidates.toSeq
-      .map(q => (q, priors.getOrElse(q, 0.0)))
+      .map(q => (q, priors(q)))
       .sortBy { case ((i1, i2), p) => (-p, i1, i2) }
       .take(mu).map(_._1)
-
-  /** benefit(Q) (Eq. 16) — used by tests to check monotone submodularity. */
-  def benefit(
-      q: Set[Pair],
-      inferred: Map[Pair, Seq[Pair]],
-      priors: Map[Pair, Double],
-      unresolved: Set[Pair]): Double = {
-    val b = mutable.Map.empty[Pair, Double]
-    for (qq <- q; p <- inferred.getOrElse(qq, Seq.empty) if unresolved.contains(p)) {
-      val old = b.getOrElse(p, 0.0)
-      b(p) = old + (1.0 - old) * priors.getOrElse(qq, 0.0)
-    }
-    b.values.sum
-  }
 }

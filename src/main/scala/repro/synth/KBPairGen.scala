@@ -55,9 +55,7 @@ object KBPairGen {
       kb1: KB,
       kb2: KB,
       gold: DataFrame,                       // [id1, id2]
-      goldAttrMatches: Seq[(String, String)],
-      goldRelMatches: Seq[(String, String)],
-      profile: Profile)
+      goldAttrMatches: Seq[(String, String)])
 
   /** Named profiles mirroring the paper's datasets at `scale` (1.0 = bench). */
   def profile(name: String, scale: Double = 1.0, seed: Long = 7L): Profile = {
@@ -211,7 +209,6 @@ object KBPairGen {
     // ((j+1) % nT), with fanout 1 + j % 3 (fanout 1 ⇒ functional-ish). The
     // same world triple is dropped independently from each KB with relDrop,
     // which is what makes the estimated consistencies ε < 1.
-    val goldRelPairs = (0 until p.nGoldRels).map(j => (s"R1_$j", s"R2_$j"))
     val rels1 = new ArrayBuffer[(Long, String, Long)]
     val rels2 = new ArrayBuffer[(Long, String, Long)]
 
@@ -264,8 +261,6 @@ object KBPairGen {
       KB.fromLocal(spark, ents1, attrs1.toSeq, rels1.toSeq).cache(),
       KB.fromLocal(spark, ents2, attrs2.toSeq, rels2.toSeq).cache(),
       goldPairs.toDF("id1", "id2").cache(),
-      goldAttrPairs,
-      goldRelPairs,
-      p)
+      goldAttrPairs)
   }
 }

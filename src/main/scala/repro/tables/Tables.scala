@@ -141,14 +141,10 @@ object Tables {
       val goldA = c.pair.goldAttrMatches.toSet
       val sims = AttributeMatcher.attributeSimilarities(
         spark, c.pair.kb1, c.pair.kb2, c.prepared.mIn)
-      def prf(found: Set[(String, String)]): Metrics.PRF = {
-        val tp = found.intersect(goldA).size.toDouble
-        val pr = if (found.nonEmpty) tp / found.size else 0.0
-        val re = if (goldA.nonEmpty) tp / goldA.size else 0.0
-        Metrics.PRF(pr, re, if (pr + re == 0) 0 else 2 * pr * re / (pr + re))
-      }
-      val with11 = prf(AttributeMatcher.matchAttributes(sims).map(t => (t._1, t._2)).toSet)
-      val no11 = prf(AttributeMatcher.matchAttributesNo11(sims).map(t => (t._1, t._2)).toSet)
+      def prf(found: Seq[(String, String, Double)]) =
+        Metrics.prfSets(found.map(t => (t._1, t._2)).toSet, goldA)
+      val with11 = prf(AttributeMatcher.matchAttributes(sims))
+      val no11 = prf(AttributeMatcher.matchAttributesNo11(sims))
       TableIVRow(p, goldA.size, with11, no11)
     }
     val rows = data.map(r => Seq(ProfileLabel(r.profile), r.nRef.toString,

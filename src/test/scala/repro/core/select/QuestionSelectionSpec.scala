@@ -1,9 +1,24 @@
 package repro.core.select
 
 import repro.PropSpec
+import scala.collection.mutable
 
 class QuestionSelectionSpec extends PropSpec {
   import QuestionSelection._
+
+  /** benefit(Q) (Eq. 16), the reference the selection must maximise. */
+  private def benefit(
+      q: Set[Pair],
+      inferred: Map[Pair, Seq[Pair]],
+      priors: Map[Pair, Double],
+      unresolved: Set[Pair]): Double = {
+    val b = mutable.Map.empty[Pair, Double]
+    for (qq <- q; p <- inferred(qq) if unresolved.contains(p)) {
+      val old = b.getOrElse(p, 0.0)
+      b(p) = old + (1.0 - old) * priors(qq)
+    }
+    b.values.sum
+  }
 
   private def p(i: Int): Pair = (i.toLong, 1000000L + i)
 
@@ -66,6 +81,12 @@ class QuestionSelectionSpec extends PropSpec {
   test("greedy ignores zero-benefit questions") {
     val sel = selectGreedy(inferred, priors, priors.keySet, Set.empty, 10)
     assert(sel.isEmpty)
+  }
+  test("a candidate with no prior is rejected") {
+    intercept[NoSuchElementException] {
+      selectGreedy(inferred, priors - p(5), priors.keySet, all, 1)
+    }
+    intercept[NoSuchElementException] { selectMaxPr(priors - p(5), priors.keySet, 1) }
   }
   test("greedy matches exhaustive optimum on small instances") {
     forSeeds(30) { rnd =>
