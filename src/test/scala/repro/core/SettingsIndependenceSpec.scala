@@ -64,4 +64,18 @@ class SettingsIndependenceSpec extends SparkSpec {
     }
     assert(differing.isEmpty, s"answers differ at 4 and 64 shuffle partitions: ${differing.mkString(", ")}")
   }
+
+  test("SiGMa breaks ties the same way under shuffle partitions {4, 64}") {
+    // Each seed has two neighbours with equal scores that share a KB1
+    // entity, so the 1:1 constraint commits whichever leaves the queue first.
+    val n = 20L
+    val seeds = (0L until n).map(i => (i, 1000 + i)).toSet
+    val rows = seeds.toSeq.flatMap { case s @ (i, _) =>
+      Seq((s._1, s._2, 100 + i, 2000 + i), (s._1, s._2, 100 + i, 3000 + i)) }
+    val edges = spark.createDataFrame(rows).toDF("srcId1", "srcId2", "dstId1", "dstId2")
+    val prior = rows.map(r => (r._3, r._4) -> 0.5).toMap ++ seeds.map(_ -> 1.0)
+    val Seq(few, many) = Seq(4, 64).map(k => under(k, aqe = false)(Sigma.run(edges, prior, seeds)))
+    assert(few.size == 2 * n)
+    assert(few == many)
+  }
 }
