@@ -70,8 +70,8 @@ class SettingsIndependenceSpec extends SparkSpec {
     // entity, so the 1:1 constraint commits whichever leaves the queue first.
     val n = 20L
     val seeds = (0L until n).map(i => (i, 1000 + i)).toSet
-    val rows = seeds.toSeq.flatMap { case s @ (i, _) =>
-      Seq((s._1, s._2, 100 + i, 2000 + i), (s._1, s._2, 100 + i, 3000 + i)) }
+    val rows = seeds.toSeq.flatMap { case (i, j) =>
+      Seq((i, j, 100 + i, 2000 + i), (i, j, 100 + i, 3000 + i)) }
     val edges = spark.createDataFrame(rows).toDF("srcId1", "srcId2", "dstId1", "dstId2")
     val prior = rows.map(r => (r._3, r._4) -> 0.5).toMap ++ seeds.map(_ -> 1.0)
     val Seq(few, many) = Seq(4, 64).map(k => under(k, aqe = false)(Sigma.run(edges, prior, seeds)))
