@@ -28,7 +28,7 @@ object TableIIJob {
 }
 
 object TableIIIJob {
-  def main(args: Array[String]): Unit = TableJobs.run("table-iii", args)(Tables.tableIII(_, _))
+  def main(args: Array[String]): Unit = TableJobs.run("table-iii", args)(Tables.tableIII)
 }
 
 object TableIVJob {
@@ -40,13 +40,13 @@ object TableVJob {
 }
 
 object TableVIJob {
-  def main(args: Array[String]): Unit = TableJobs.run("table-vi", args)(Tables.tableVI(_, _))
+  def main(args: Array[String]): Unit = TableJobs.run("table-vi", args)(Tables.tableVI)
 }
 
 object TableVIIJob {
-  def main(args: Array[String]): Unit = TableJobs.run("table-vii", args)(Tables.tableVII(_, _))
+  def main(args: Array[String]): Unit = TableJobs.run("table-vii", args)(Tables.tableVII)
 }
 
 object TableVIIIJob {
-  def main(args: Array[String]): Unit = TableJobs.run("table-viii", args)(Tables.tableVIII(_, _))
+  def main(args: Array[String]): Unit = TableJobs.run("table-viii", args)(Tables.tableVIII)
 }

@@ -38,19 +38,21 @@ object CrowdBaselines {
 object Hike {
   import CrowdBaselines._
 
-  /** `chunkSize` bounds the partitions produced by HIKE's hierarchical
-    * clustering: each type cluster is subdivided until partitions hold at
-    * most this many pairs, and the threshold search runs per partition —
-    * which is why HIKE's question count scales with the dataset, as in
-    * Table III.
+  /** The largest partition produced by HIKE's hierarchical clustering: each
+    * type cluster is subdivided until partitions hold at most this many
+    * pairs, and the threshold search runs per partition — which is why
+    * HIKE's question count scales with the dataset, as in Table III. The
+    * search then asks VerifyPerPartition questions around the boundary.
     */
-  def run(cands: Seq[Cand], gold: Set[Pair], pool: WorkerPool,
-          verifyPerPartition: Int = 4, chunkSize: Int = 500): CrowdResult = {
+  val ChunkSize = 500
+  val VerifyPerPartition = 4
+
+  def run(cands: Seq[Cand], gold: Set[Pair], pool: WorkerPool): CrowdResult = {
     var questions = 0
     val matches = collection.mutable.Set.empty[Pair]
     val partitions = cands.groupBy(_.etype).toSeq.sortBy(_._1).flatMap {
       case (t, ps) => ps.sortBy(c => (c.pair._1, c.pair._2))
-        .grouped(chunkSize).zipWithIndex.map { case (g, i) => (s"$t-$i", g) }
+        .grouped(ChunkSize).zipWithIndex.map { case (g, i) => (s"$t-$i", g) }
     }
     for ((_, part0) <- partitions) {
       val part = part0.sortBy(-_.score)
@@ -63,7 +65,7 @@ object Hike {
         if (ask(pool, gold, part(mid).pair)) lo = mid + 1 else hi = mid
       }
       // Verification questions straddling the boundary (HIKE's refinement).
-      val around = ((lo - verifyPerPartition / 2) until (lo + verifyPerPartition / 2))
+      val around = ((lo - VerifyPerPartition / 2) until (lo + VerifyPerPartition / 2))
         .filter(i => i >= 0 && i < part.size)
       var boundary = lo
       for (i <- around) {
@@ -91,15 +93,19 @@ object Power {
   private def dominates(a: Array[Double], b: Array[Double]): Boolean =
     a.indices.forall(i => a(i) >= b(i))
 
-  def run(cands: Seq[Cand], gold: Set[Pair], pool: WorkerPool,
-          buckets: Int = 3, maxQuestions: Int = 5000): CrowdResult = {
+  // Buckets cut points per feature on vectors of at most 8 features (4
+  // levels); one run asks at most MaxQuestions over all partitions.
+  val Buckets = 3
+  val MaxQuestions = 5000
+
+  def run(cands: Seq[Cand], gold: Set[Pair], pool: WorkerPool): CrowdResult = {
     var questions = 0
     val matches = collection.mutable.Set.empty[Pair]
     for ((_, part) <- cands.groupBy(_.etype).toSeq.sortBy(_._1)) {
       // Coarser grouping for high-dimensional vectors keeps the group count
       // (= worst-case question count) bounded, as POWER's grouping intends.
       val dim = part.head.features.length
-      val b = if (dim > 8) 1 else buckets
+      val b = if (dim > 8) 1 else Buckets
       // b+1 levels with cut points at i/(b+1) — e.g. b=1 splits at 0.5, b=3
       // at 0.25/0.5/0.75.
       def key(c: Cand): Vector[Int] =
@@ -116,7 +122,7 @@ object Power {
       val resolved = Array.fill(n)(0) // 0 unknown, 1 match, -1 non-match
       // Ask in descending static coverage (number of comparable groups).
       val order = (0 until n).sortBy(i => -(dominators(i).length + dominated(i).length))
-      for (qi <- order if resolved(qi) == 0 && questions < maxQuestions) {
+      for (qi <- order if resolved(qi) == 0 && questions < MaxQuestions) {
         questions += 1
         val rep = members(qi).maxBy(_.score)
         if (ask(pool, gold, rep.pair)) {
@@ -143,9 +149,16 @@ object Corleone {
   import CrowdBaselines._
   import repro.core.truth.RandomForest
 
-  def run(cands: Seq[Cand], gold: Set[Pair], pool: WorkerPool,
-          batch: Int = 10, maxIters: Int = 40, minLabels: Int = 40,
-          convergeMargin: Double = 0.45, seed: Long = 17L): CrowdResult = {
+  // Batch pairs go to the crowd per round, for at most MaxIters rounds. The
+  // loop stops once MinLabels are in and even the least certain vote share
+  // is ConvergeMargin from 0.5. Round i's forest has seed Seed + i.
+  val Batch = 10
+  val MaxIters = 40
+  val MinLabels = 40
+  val ConvergeMargin = 0.45
+  val Seed = 17L
+
+  def run(cands: Seq[Cand], gold: Set[Pair], pool: WorkerPool): CrowdResult = {
     var questions = 0
     val labels = collection.mutable.Map.empty[Pair, Boolean]
     val byPair = cands.map(c => c.pair -> c).toMap
@@ -157,16 +170,16 @@ object Corleone {
     var iter = 0
     var done = false
     var forest: RandomForest = null
-    while (!done && iter < maxIters) {
+    while (!done && iter < MaxIters) {
       iter += 1
       val pos = labels.count(_._2)
       if (pos == 0 || pos == labels.size) {
         // Degenerate training set: label more extremes.
-        val extra = sorted.filterNot(c => labels.contains(c.pair)).take(batch)
+        val extra = sorted.filterNot(c => labels.contains(c.pair)).take(Batch)
         if (extra.isEmpty) done = true
         else extra.foreach { c => questions += 1; labels(c.pair) = ask(pool, gold, c.pair) }
       } else {
-        forest = new RandomForest(nTrees = 50, seed = seed + iter)
+        forest = new RandomForest(nTrees = 50, seed = Seed + iter)
         // Single iteration keeps features and labels aligned — mapping over
         // `labels.keys` (a Set) would re-hash into a differently-ordered set.
         val entries = labels.toArray
@@ -180,8 +193,8 @@ object Corleone {
           val byMargin = unlabeled
             .map(c => (c, math.abs(forest.predictProb(c.features) - 0.5)))
             .sortBy(_._2)
-          if (byMargin.head._2 > convergeMargin && labels.size >= minLabels) done = true
-          else byMargin.take(batch).foreach { case (c, _) =>
+          if (byMargin.head._2 > ConvergeMargin && labels.size >= MinLabels) done = true
+          else byMargin.take(Batch).foreach { case (c, _) =>
             questions += 1; labels(c.pair) = ask(pool, gold, c.pair)
           }
         }

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
 import repro.kb.KB
 
 /** PARIS baseline [Suchanek et al., VLDB'11] — probabilistic, functionality-
@@ -19,6 +18,14 @@ object Paris {
 
   type Pair = (Long, Long)
 
+  /** An ER graph edge: source, destination and its label (r1, r2). */
+  type Edge = (Pair, Pair, String, String)
+
+  // Fixed-point rounds: evidence moves one hop per round, so seeds reach
+  // pairs up to 8 hops away. The alignment keeps probabilities ≥ 0.5.
+  val Iterations = 8
+  val Threshold = 0.5
+
   /** fanout-based functionality: #distinct subjects / #triples (and the
     * inverse for reverse traversal).
     */
@@ -33,31 +40,26 @@ object Paris {
     (fwd, rev)
   }
 
-  /** Run from seeds over the ER graph edges.
-    *
-    * @param edges ER graph edges [srcId1, srcId2, dstId1, dstId2, r1, r2]
-    */
-  def run(edges: DataFrame, kb1: KB, kb2: KB, seeds: Set[Pair],
-          iterations: Int = 8, threshold: Double = 0.5): Set[Pair] = {
+  /** Each source's (destination, functionality weight) list, undirected, in
+    * the pairs' hash order; `kb1` and `kb2` hold the labels of `edges`. */
+  def neighbours(edges: Seq[Edge], kb1: KB, kb2: KB): Map[Pair, Seq[(Pair, Double)]] = {
     val (f1, r1f) = functionalities(kb1)
     val (f2, r2f) = functionalities(kb2)
-    val rawEdges = edges.collect().map { r =>
-      ((r.getLong(0), r.getLong(1)), (r.getLong(2), r.getLong(3)),
-        r.getString(4), r.getString(5))
-    }
-    // Undirected propagation edges with functionality weights, max per pair.
     val prop = collection.mutable.Map.empty[(Pair, Pair), Double]
-    for ((s, d, rr1, rr2) <- rawEdges) {
+    for ((s, d, rr1, rr2) <- edges) {
       val wF = f1.getOrElse(rr1, 0.5) * f2.getOrElse(rr2, 0.5)
       val wR = r1f.getOrElse(rr1, 0.5) * r2f.getOrElse(rr2, 0.5)
       prop((s, d)) = math.max(prop.getOrElse((s, d), 0.0), wF)
       prop((d, s)) = math.max(prop.getOrElse((d, s), 0.0), wR)
     }
-    val bySrc = prop.toSeq.groupBy(_._1._1)
+    prop.toSeq.groupBy(_._1._1)
       .view.mapValues(_.map { case ((_, d), w) => (d, w) }).toMap
+  }
 
+  /** Run from seeds over the weighted neighbour lists of `neighbours`. */
+  def run(bySrc: Map[Pair, Seq[(Pair, Double)]], seeds: Set[Pair]): Set[Pair] = {
     var probs: Map[Pair, Double] = seeds.map(_ -> 1.0).toMap
-    for (_ <- 1 to iterations) {
+    for (_ <- 1 to Iterations) {
       val next = collection.mutable.Map.empty[Pair, Double]
       for ((src, p) <- probs if p > 1e-3; (dst, w) <- bySrc.getOrElse(src, Seq.empty)) {
         val old = next.getOrElse(dst, 0.0)
@@ -71,7 +73,7 @@ object Paris {
     val used1 = collection.mutable.Set.empty[Long]
     val used2 = collection.mutable.Set.empty[Long]
     val out = collection.mutable.Set.empty[Pair]
-    for (((p1, p2), _) <- probs.toSeq.filter(_._2 >= threshold).sortBy(-_._2)) {
+    for (((p1, p2), _) <- probs.toSeq.filter(_._2 >= Threshold).sortBy(-_._2)) {
       if (!used1(p1) && !used2(p2)) { used1 += p1; used2 += p2; out += ((p1, p2)) }
     }
     out.toSet ++ seeds

@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-
 /** SiGMa baseline [Lacoste-Julien et al., KDD'13] — simple greedy matching
   * without crowdsourcing (used in Table VI).
   *
@@ -16,21 +14,28 @@ object Sigma {
 
   type Pair = (Long, Long)
 
-  /** @param edges  ER graph edges [srcId1, srcId2, dstId1, dstId2, r1, r2]
+  // α weighs the label-similarity prior, 1 − α the graph term; a pair is
+  // committed at a score of at least Threshold.
+  val Alpha = 0.4
+  val Threshold = 0.35
+
+  /** Undirected neighbour lists over the ER graph edges (source,
+    * destination), built from the distinct edges in sorted order, so that the
+    * queue's tie order does not follow the order of `edges`.
+    */
+  def neighbours(edges: Seq[(Pair, Pair)]): Map[Pair, List[Pair]] = {
+    val nbrs = collection.mutable.Map.empty[Pair, List[Pair]]
+    edges.distinct.sorted.foreach { case (s, d) =>
+      nbrs(s) = d :: nbrs.getOrElse(s, Nil)
+      nbrs(d) = s :: nbrs.getOrElse(d, Nil)
+    }
+    nbrs.toMap
+  }
+
+  /** @param nbrs   the ER graph's neighbour lists, from `neighbours`
     * @param prior  label-similarity prior of every retained pair
     */
-  def run(edges: DataFrame, prior: Map[Pair, Double], seeds: Set[Pair],
-          alpha: Double = 0.4, threshold: Double = 0.35): Set[Pair] = {
-    // Undirected neighbour lists over the ER graph, built in edge order so
-    // that the queue's tie order does not follow Spark's partitioning.
-    val nbrs = collection.mutable.Map.empty[Pair, List[Pair]]
-    edges.select("srcId1", "srcId2", "dstId1", "dstId2").distinct().collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), (r.getLong(2), r.getLong(3))))
-      .sorted
-      .foreach { case (s, d) =>
-        nbrs(s) = d :: nbrs.getOrElse(s, Nil)
-        nbrs(d) = s :: nbrs.getOrElse(d, Nil)
-      }
+  def run(nbrs: Map[Pair, List[Pair]], prior: Map[Pair, Double], seeds: Set[Pair]): Set[Pair] = {
     val matched = collection.mutable.Set.empty[Pair]
     val used1 = collection.mutable.Set.empty[Long]
     val used2 = collection.mutable.Set.empty[Long]
@@ -38,7 +43,7 @@ object Sigma {
     def score(p: Pair): Double = {
       val ns = nbrs.getOrElse(p, Nil)
       val g = if (ns.isEmpty) 0.0 else ns.count(matched.contains).toDouble / ns.size
-      alpha * prior.getOrElse(p, 0.0) + (1 - alpha) * g
+      Alpha * prior.getOrElse(p, 0.0) + (1 - Alpha) * g
     }
 
     def commit(p: Pair): Unit = { matched += p; used1 += p._1; used2 += p._2 }
@@ -55,7 +60,7 @@ object Sigma {
       if (!used1(p._1) && !used2(p._2)) {
         val fresh = score(p)
         if (fresh >= st - 1e-12) { // stale scores only ever increase
-          if (fresh >= threshold) {
+          if (fresh >= Threshold) {
             commit(p)
             for (n <- nbrs.getOrElse(p, Nil) if !used1(n._1) && !used2(n._2))
               pq.enqueue((score(n), n))

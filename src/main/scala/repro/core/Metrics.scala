@@ -1,13 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.util.BipartiteMatching
 
-/** Evaluation metrics used across the paper's tables.
-  *
-  * Pair DataFrame inputs have columns [id1: Long, id2: Long] (plus extra
-  * columns that are ignored).
-  */
+/** Evaluation metrics used across the paper's tables. */
 object Metrics {
 
   final case class PRF(precision: Double, recall: Double, f1: Double) {
@@ -26,12 +21,8 @@ object Metrics {
   }
 
   /** Pair completeness: fraction of gold matches preserved in `pairs` (Table V). */
-  def pairCompleteness(pairs: DataFrame, gold: DataFrame): Double = {
-    val g = gold.select("id1", "id2").distinct()
-    val kept = pairs.select("id1", "id2").distinct().join(g, Seq("id1", "id2")).count()
-    val total = g.count()
-    if (total == 0) 0.0 else kept.toDouble / total
-  }
+  def pairCompleteness[A](pairs: Set[A], gold: Set[A]): Double =
+    if (gold.isEmpty) 0.0 else gold.count(pairs).toDouble / gold.size
 
   /** Reduction ratio: fraction of candidates pruned (Table V). */
   def reductionRatio(before: Long, after: Long): Double =

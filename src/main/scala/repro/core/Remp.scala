@@ -90,7 +90,6 @@ object Remp {
 
     val withVec = SimVectors.withVectors(spark, cands, kb1, kb2, attrMatches, cfg.literalThreshold).cache()
     val retained = PartialOrderPruning.prune(spark, withVec, cfg.k).cache()
-    retained.count()
 
     val edges = ERGraphBuilder.edges(retained, kb1, kb2).cache()
     // Likely value matches for ε-estimation: every candidate with a prior at
@@ -100,9 +99,8 @@ object Remp {
     val probEdges = NeighborPropagation.probabilisticEdges(
       spark, edges, retained.select("id1", "id2", "prior"), consistency).cache()
 
-    val connectedV = ERGraphBuilder.connectedVertices(retained, edges).select("id1", "id2").cache()
-    val inferredDf = DistantPropagation.inferredSets(spark, probEdges, connectedV, cfg.tau)
-    val inferred = inferredDf.collect()
+    val inferred = DistantPropagation.inferredSets(
+      spark, probEdges, ERGraphBuilder.connectedVertices(retained, edges), cfg.tau).collect()
       .map(r => ((r.getLong(0), r.getLong(1)), ((r.getLong(2), r.getLong(3)), r.getDouble(4))))
       .groupBy(_._1).view.mapValues(_.map(_._2).toSeq).toMap
 
@@ -110,7 +108,8 @@ object Remp {
     val priors = rows.map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
     val vecs = rows.map(r => ((r.getLong(0), r.getLong(1)),
       r.getSeq[Double](3).toArray)).toMap
-    val connected = connectedV.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    // Every source has an inferred list, which holds at least itself.
+    val connected = inferred.keySet
     val isolated = priors.keySet.diff(connected)
 
     Prepared(numCandidates, cands, mIn, attrMatches, retained, edges, consistency,

@@ -21,7 +21,7 @@ object AttributeMatcher {
     */
   def attributeSimilarities(
       spark: SparkSession, kb1: KB, kb2: KB, mIn: DataFrame,
-      literalThreshold: Double = 0.9): Seq[(String, String, Double)] = {
+      literalThreshold: Double): Seq[(String, String, Double)] = {
     val g1 = kb1.attrs.groupBy(col("subj").as("id1"), col("attr").as("a1"))
       .agg(collect_list("value").as("vals1"))
     val g2 = kb2.attrs.groupBy(col("subj").as("id2"), col("attr").as("a2"))
@@ -50,7 +50,7 @@ object AttributeMatcher {
   }
 
   /** Global 1:1 attribute matching M_at via the Hungarian algorithm. */
-  def matchAttributes(sims: Seq[(String, String, Double)], minSim: Double = 0.4): Seq[(String, String, Double)] = {
+  def matchAttributes(sims: Seq[(String, String, Double)], minSim: Double): Seq[(String, String, Double)] = {
     val as1 = sims.map(_._1).distinct.sorted
     val as2 = sims.map(_._2).distinct.sorted
     val i1 = as1.zipWithIndex.toMap
@@ -61,6 +61,6 @@ object AttributeMatcher {
   }
 
   /** Ablation without the 1:1 constraint: every pair with sim ≥ minSim. */
-  def matchAttributesNo11(sims: Seq[(String, String, Double)], minSim: Double = 0.4): Seq[(String, String, Double)] =
+  def matchAttributesNo11(sims: Seq[(String, String, Double)], minSim: Double): Seq[(String, String, Double)] =
     sims.filter(_._3 >= minSim)
 }

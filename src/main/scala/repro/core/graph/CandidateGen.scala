@@ -29,7 +29,7 @@ object CandidateGen {
   }
 
   /** Candidate pairs M_c with priors; `threshold` is the Jaccard cut-off. */
-  def candidates(kb1: KB, kb2: KB, threshold: Double = 0.3): DataFrame = {
+  def candidates(kb1: KB, kb2: KB, threshold: Double): DataFrame = {
     val t1 = tokenized(kb1.entities).toDF("id1", "n1", "token")
     val t2 = tokenized(kb2.entities).toDF("id2", "n2", "token")
     t1.join(t2, "token")

@@ -20,7 +20,7 @@ object SimVectors {
       candidates: DataFrame,
       kb1: KB, kb2: KB,
       attrMatches: Seq[(String, String, Double)],
-      literalThreshold: Double = 0.9): DataFrame = {
+      literalThreshold: Double): DataFrame = {
     val dim = attrMatches.size
     if (dim == 0) return candidates.withColumn("vec", array())
 

@@ -25,7 +25,6 @@ import scala.util.Random
 final class RandomForest(
     nTrees: Int = 100,
     maxDepth: Int = 20,
-    minSamplesSplit: Int = 2,
     seed: Long = 13L) {
 
   // Node i is a leaf when feature(i) < 0, and value(i) is then its
@@ -76,9 +75,11 @@ final class RandomForest(
     // Builds the node over segment [lo, hi) of every feature's sample, whose
     // positive count is pos; returns its index. Children come before their
     // parent in the arrays, but are built (and draw) left before right.
+    // A node of one row is pure, so scikit-learn's default
+    // min_samples_split = 2 needs no test of its own.
     def build(lo: Int, hi: Int, pos: Int, depth: Int): Int = {
       val n = hi - lo
-      if (n < minSamplesSplit || depth >= maxDepth || pos == 0 || pos == n)
+      if (depth >= maxDepth || pos == 0 || pos == n)
         return node(-1, pos.toDouble / n, -1, -1)
 
       val shuffled = rnd.shuffle(features).iterator

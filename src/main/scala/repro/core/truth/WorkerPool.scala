@@ -8,7 +8,7 @@ import scala.util.Random
   * correctly (the "worker probability model" of [Zheng et al., VLDB'17]).
   * A question is assigned to `perQuestion` workers; the posterior match
   * probability combines the prior with the label likelihood ratio (Eq. 17).
-  * Posteriors ≥ `matchThreshold` are matches, ≤ `nonMatchThreshold` are
+  * Posteriors ≥ `MatchThreshold` are matches, ≤ `NonMatchThreshold` are
   * non-matches, anything between stays unresolved with its prior replaced by
   * the posterior (the paper's treatment of "hard" questions).
   *
@@ -50,9 +50,12 @@ final class WorkerPool(
 
 object WorkerPool {
 
+  /** Workers in a fixed-error-rate pool, all of one quality. */
+  val PoolSize = 50
+
   /** Fixed-error-rate pool (the Fig. 3 / Table III setting). */
-  def fixedError(errorRate: Double, nWorkers: Int = 50, seed: Long = 11L): WorkerPool =
-    new WorkerPool(IndexedSeq.fill(nWorkers)(1.0 - errorRate), seed)
+  def fixedError(errorRate: Double, seed: Long = 11L): WorkerPool =
+    new WorkerPool(IndexedSeq.fill(PoolSize)(1.0 - errorRate), seed)
 
   /** A "perfect oracle" pool — used when ground truth serves as labels
     * (Tables VI and VII).
@@ -77,8 +80,12 @@ object WorkerPool {
     p / (p + (1 - p) * math.exp(logRatio))
   }
 
-  def verdict(post: Double, matchThreshold: Double = 0.8, nonMatchThreshold: Double = 0.2): Verdict =
-    if (post >= matchThreshold) IsMatch
-    else if (post <= nonMatchThreshold) IsNonMatch
+  /** The paper's thresholds on the posterior (§VII-A). */
+  val MatchThreshold = 0.8
+  val NonMatchThreshold = 0.2
+
+  def verdict(post: Double): Verdict =
+    if (post >= MatchThreshold) IsMatch
+    else if (post <= NonMatchThreshold) IsNonMatch
     else Unresolved(post)
 }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.core.{Metrics, Remp}
 import repro.core.truth.WorkerPool
+import repro.kb.KBAug
 import repro.synth.KBPairGen
 import repro.synth.KBPairGen.KBPair
 
@@ -14,9 +15,9 @@ import scala.util.Random
   * rendered table plus the raw numbers so bench suites can assert the shape
   * claims, and jobs/ mains can print them under spark-submit.
   *
-  * Expensive per-profile state (generation + Remp.prepare) is cached per JVM:
-  * the bench run executes all table suites sequentially in a single forked
-  * JVM, so every profile is prepared exactly once.
+  * Expensive per-profile state (generation, Remp.prepare, shared inputs) is
+  * cached per JVM: the bench run executes all table suites sequentially in a
+  * single forked JVM, so every profile is prepared exactly once.
   */
 object Tables {
 
@@ -25,6 +26,15 @@ object Tables {
   val Profiles: Seq[String] = Seq("iimb", "da", "iy", "dy")
   private val ProfileLabel =
     Map("iimb" -> "IIMB", "da" -> "D-A", "iy" -> "I-Y", "dy" -> "D-Y")
+
+  // Remp's settings for every profile (the paper's defaults); the workers'
+  // error rate of Tables III and VIII (DESIGN §2); Table VI's seed fractions,
+  // each averaged over SeedRepeats draws; Table VII's μ.
+  val Cfg: Remp.Config = Remp.Config()
+  val ErrorRate = 0.05
+  val SeedFractions: Seq[Double] = Seq(0.2, 0.4, 0.6, 0.8)
+  val SeedRepeats = 3
+  val Mus: Seq[Int] = Seq(1, 5, 10, 20)
 
   final case class Ctx(pair: KBPair, prepared: Remp.Prepared, gold: Set[Pair]) {
     /** Every retained pair with its prior, vector and KB1 entity type, in
@@ -50,15 +60,27 @@ object Tables {
       }.map(_.pair).toSet
       p => if (hard(p)) 0.85 else 0.0
     }
+
+    /** The crowd of Tables III and VIII, and Remp's session with it. */
+    def crowd(seed: Long): WorkerPool =
+      WorkerPool.fixedError(ErrorRate, seed = seed).withDifficulty(difficultyFn, seed)
+    lazy val session: Remp.Result = Remp.resolve(prepared, crowd(101), Cfg)
+
+    /** The ER graph's edges, collected once and sorted, and the PARIS (over
+      * both KBs' relationships and inverses) and SiGMa neighbour lists. */
+    lazy val edgeRows: Seq[Paris.Edge] = prepared.edges.collect().map(r => ((r.getLong(0), r.getLong(1)),
+      (r.getLong(2), r.getLong(3)), r.getString(4), r.getString(5))).toSeq.sorted
+    lazy val parisNeighbours: Map[Pair, Seq[(Pair, Double)]] =
+      Paris.neighbours(edgeRows, KBAug.withInverses(pair.kb1), KBAug.withInverses(pair.kb2))
+    lazy val sigmaNeighbours: Map[Pair, List[Pair]] = Sigma.neighbours(edgeRows.map(e => (e._1, e._2)))
   }
 
-  private val cache = mutable.Map.empty[(String, Double, Long), Ctx]
+  private val cache = mutable.Map.empty[(String, Double), Ctx]
 
-  def ctx(spark: SparkSession, profile: String, scale: Double, seed: Long = 7L,
-          cfg: Remp.Config = Remp.Config()): Ctx =
-    cache.getOrElseUpdate((profile, scale, seed), {
-      val pair = KBPairGen.generate(spark, KBPairGen.profile(profile, scale, seed))
-      val prepared = Remp.prepare(spark, pair, cfg)
+  def ctx(spark: SparkSession, profile: String, scale: Double): Ctx =
+    cache.getOrElseUpdate((profile, scale), {
+      val pair = KBPairGen.generate(spark, KBPairGen.profile(profile, scale))
+      val prepared = Remp.prepare(spark, pair, Cfg)
       Ctx(pair, prepared, prepared.gold)
     })
 
@@ -85,7 +107,7 @@ object Tables {
       DatasetStats(p, c.pair.kb1.numEntities, c.pair.kb2.numEntities,
         c.pair.kb1.numAttributes, c.pair.kb2.numAttributes,
         c.pair.kb1.numRelationships, c.pair.kb2.numRelationships,
-        c.pair.gold.count())
+        c.gold.size.toLong)
     }
     val rows = stats.map(s => Seq(ProfileLabel(s.profile),
       s"${s.e1} / ${s.e2}", s"${s.a1} / ${s.a2}", s"${s.r1} / ${s.r2}", s.matches.toString))
@@ -100,17 +122,14 @@ object Tables {
   final case class TableIIIRow(profile: String, remp: MethodScore, hike: MethodScore,
                                power: MethodScore, corleone: MethodScore)
 
-  def tableIII(spark: SparkSession, scale: Double,
-               errorRate: Double = 0.05): (String, Seq[TableIIIRow]) = {
+  def tableIII(spark: SparkSession, scale: Double): (String, Seq[TableIIIRow]) = {
     val data = Profiles.map { p =>
       val c = ctx(spark, p, scale)
-      def pool(seed: Long) =
-        WorkerPool.fixedError(errorRate, seed = seed).withDifficulty(c.difficultyFn, seed)
-      val res = Remp.resolve(c.prepared, pool(101), Remp.Config())
+      val res = c.session
       val cands = c.candFeatures
-      val h = Hike.run(cands, c.gold, pool(102))
-      val w = Power.run(cands, c.gold, pool(103))
-      val co = Corleone.run(cands, c.gold, pool(104))
+      val h = Hike.run(cands, c.gold, c.crowd(102))
+      val w = Power.run(cands, c.gold, c.crowd(103))
+      val co = Corleone.run(cands, c.gold, c.crowd(104))
       def f1(m: Set[Pair]) = Metrics.prfSets(m, c.gold).f1
       TableIIIRow(p,
         MethodScore(res.prf.f1, res.questions),
@@ -140,11 +159,11 @@ object Tables {
       val c = ctx(spark, p, scale)
       val goldA = c.pair.goldAttrMatches.toSet
       val sims = AttributeMatcher.attributeSimilarities(
-        spark, c.pair.kb1, c.pair.kb2, c.prepared.mIn)
+        spark, c.pair.kb1, c.pair.kb2, c.prepared.mIn, Cfg.literalThreshold)
       def prf(found: Seq[(String, String, Double)]) =
         Metrics.prfSets(found.map(t => (t._1, t._2)).toSet, goldA)
-      val with11 = prf(AttributeMatcher.matchAttributes(sims))
-      val no11 = prf(AttributeMatcher.matchAttributesNo11(sims))
+      val with11 = prf(AttributeMatcher.matchAttributes(sims, Cfg.attrMinSim))
+      val no11 = prf(AttributeMatcher.matchAttributesNo11(sims, Cfg.attrMinSim))
       TableIVRow(p, goldA.size, with11, no11)
     }
     val rows = data.map(r => Seq(ProfileLabel(r.profile), r.nRef.toString,
@@ -165,10 +184,12 @@ object Tables {
   def tableV(spark: SparkSession, scale: Double): (String, Seq[TableVRow]) = {
     val data = Profiles.map { p =>
       val c = ctx(spark, p, scale)
-      val candPC = Metrics.pairCompleteness(c.prepared.candidates, c.pair.gold)
+      val candidates = c.prepared.candidates.select("id1", "id2").collect()
+        .map(r => (r.getLong(0), r.getLong(1))).toSet
+      val candPC = Metrics.pairCompleteness(candidates, c.gold)
       val nRet = c.prepared.priors.size.toLong
-      val retPC = Metrics.pairCompleteness(c.prepared.retained, c.pair.gold)
-      val nEdges = c.prepared.edges.count()
+      val retPC = Metrics.pairCompleteness(c.prepared.priors.keySet, c.gold)
+      val nEdges = c.edgeRows.size.toLong
       val vectors = c.prepared.vecs.toSeq.map { case (pr, v) => (v, c.gold.contains(pr)) }
       val err = Metrics.optimalMonotoneErrorRate(vectors)
       TableVRow(p, c.prepared.numCandidates, candPC, nRet,
@@ -186,28 +207,22 @@ object Tables {
   // ------------------------------------------------------------------
   // Table VI: F1 w.r.t. varying portions of seed matches
   // ------------------------------------------------------------------
-  final case class TableVIRow(profile: String, fractions: Seq[Double],
-                              remp: Seq[Double], paris: Seq[Double], sigma: Seq[Double])
+  final case class TableVIRow(profile: String, remp: Seq[Double], paris: Seq[Double], sigma: Seq[Double])
 
-  def tableVI(spark: SparkSession, scale: Double, repeats: Int = 3,
-              fractions: Seq[Double] = Seq(0.2, 0.4, 0.6, 0.8)): (String, Seq[TableVIRow]) = {
+  def tableVI(spark: SparkSession, scale: Double): (String, Seq[TableVIRow]) = {
     val data = Profiles.map { p =>
       val c = ctx(spark, p, scale)
       val goldSeq = c.gold.toSeq.sortBy(identity)
       def avgOver(f: Set[Pair] => Set[Pair], frac: Double): Double =
-        (1 to repeats).map { rep =>
+        (1 to SeedRepeats).map { rep =>
           val rnd = new Random(1000L * rep + (frac * 100).toInt)
           val seeds = rnd.shuffle(goldSeq).take((goldSeq.size * frac).toInt).toSet
           Metrics.prfSets(f(seeds), c.gold).f1
-        }.sum / repeats
-      val remp = fractions.map(avgOver(s => Remp.propagateFromSeeds(c.prepared, s), _))
-      val kb1a = repro.kb.KBAug.withInverses(c.pair.kb1)
-      val kb2a = repro.kb.KBAug.withInverses(c.pair.kb2)
-      val paris = fractions.map(avgOver(
-        s => Paris.run(c.prepared.edges, kb1a, kb2a, s), _))
-      val sigma = fractions.map(avgOver(
-        s => Sigma.run(c.prepared.edges, c.prepared.priors, s), _))
-      TableVIRow(p, fractions, remp, paris, sigma)
+        }.sum / SeedRepeats
+      val remp = SeedFractions.map(avgOver(Remp.propagateFromSeeds(c.prepared, _), _))
+      val paris = SeedFractions.map(avgOver(Paris.run(c.parisNeighbours, _), _))
+      val sigma = SeedFractions.map(avgOver(Sigma.run(c.sigmaNeighbours, c.prepared.priors, _), _))
+      TableVIRow(p, remp, paris, sigma)
     }
     val rows = data.flatMap { r =>
       Seq(
@@ -216,7 +231,7 @@ object Tables {
         Seq("", "SiGMa") ++ r.sigma.map(pct))
     }
     (render("Table VI: F1-score w.r.t. varying portions of seed matches",
-      Seq("", "Method") ++ fractions.map(f => s"${(f * 100).toInt}%"), rows), data)
+      Seq("", "Method") ++ SeedFractions.map(f => s"${(f * 100).toInt}%"), rows), data)
   }
 
   // ------------------------------------------------------------------
@@ -225,13 +240,11 @@ object Tables {
   final case class MuScore(mu: Int, f1: Double, questions: Int, loops: Int)
   final case class TableVIIRow(profile: String, scores: Seq[MuScore])
 
-  def tableVII(spark: SparkSession, scale: Double,
-               mus: Seq[Int] = Seq(1, 5, 10, 20)): (String, Seq[TableVIIRow]) = {
+  def tableVII(spark: SparkSession, scale: Double): (String, Seq[TableVIIRow]) = {
     val data = Profiles.map { p =>
       val c = ctx(spark, p, scale)
-      val scores = mus.map { mu =>
-        val res = Remp.resolve(c.prepared, WorkerPool.oracle(seed = 100 + mu),
-          Remp.Config(mu = mu))
+      val scores = Mus.map { mu =>
+        val res = Remp.resolve(c.prepared, WorkerPool.oracle(seed = 100 + mu), Cfg.copy(mu = mu))
         MuScore(mu, res.prf.f1, res.questions, res.loops)
       }
       TableVIIRow(p, scores)
@@ -239,8 +252,7 @@ object Tables {
     val rows = data.map(r => Seq(ProfileLabel(r.profile)) ++
       r.scores.flatMap(s => Seq(pct(s.f1), s.questions.toString, s.loops.toString)))
     (render("Table VII: F1 / #questions / #loops per question budget μ",
-      Seq("") ++ data.head.scores.flatMap(s =>
-        Seq(s"μ=${s.mu} F1", "#Q", "#L")), rows), data)
+      Seq("") ++ Mus.flatMap(mu => Seq(s"μ=$mu F1", "#Q", "#L")), rows), data)
   }
 
   // ------------------------------------------------------------------
@@ -249,12 +261,10 @@ object Tables {
   final case class TableVIIIRow(profile: String, isolatedMatchFrac: Double,
                                 rempF1: Double, forestF1: Double)
 
-  def tableVIII(spark: SparkSession, scale: Double,
-                errorRate: Double = 0.05): (String, Seq[TableVIIIRow]) = {
+  def tableVIII(spark: SparkSession, scale: Double): (String, Seq[TableVIIIRow]) = {
     val data = Profiles.map { p =>
       val c = ctx(spark, p, scale)
-      val pool = WorkerPool.fixedError(errorRate, seed = 101).withDifficulty(c.difficultyFn, 101)
-      val res = Remp.resolve(c.prepared, pool, Remp.Config())
+      val res = c.session
       val isolatedGold = c.gold.intersect(c.prepared.isolated)
       val frac = if (c.gold.nonEmpty) isolatedGold.size.toDouble / c.gold.size else 0.0
       // Forest column: the classifier's own F1 on the isolated subset.

@@ -14,39 +14,39 @@ class BaselinesSpec extends SparkSpec {
 
   // --- PARIS ---
   test("PARIS propagates seeds to new matches") {
-    val out = Paris.run(ctx.prepared.edges, ctx.pair.kb1, ctx.pair.kb2, seeds50)
+    val out = Paris.run(ctx.parisNeighbours, seeds50)
     assert(out.size > seeds50.size)
   }
   test("PARIS F1 grows with seeds") {
     val few = ctx.gold.toSeq.sortBy(identity).take(ctx.gold.size / 5).toSet
     val f1Few = Metrics.prfSets(
-      Paris.run(ctx.prepared.edges, ctx.pair.kb1, ctx.pair.kb2, few), ctx.gold).f1
+      Paris.run(ctx.parisNeighbours, few), ctx.gold).f1
     val f1Half = Metrics.prfSets(
-      Paris.run(ctx.prepared.edges, ctx.pair.kb1, ctx.pair.kb2, seeds50), ctx.gold).f1
+      Paris.run(ctx.parisNeighbours, seeds50), ctx.gold).f1
     assert(f1Half >= f1Few)
   }
   test("PARIS output is 1:1 apart from the given seeds") {
-    val out = Paris.run(ctx.prepared.edges, ctx.pair.kb1, ctx.pair.kb2, seeds50) -- seeds50
+    val out = Paris.run(ctx.parisNeighbours, seeds50) -- seeds50
     assert(out.toSeq.map(_._1).distinct.size == out.size)
   }
   test("PARIS with empty seeds finds nothing") {
-    assert(Paris.run(ctx.prepared.edges, ctx.pair.kb1, ctx.pair.kb2, Set.empty).isEmpty)
+    assert(Paris.run(ctx.parisNeighbours, Set.empty).isEmpty)
   }
 
   // --- SiGMa ---
   test("SiGMa propagates seeds to new matches with decent precision") {
-    val out = Sigma.run(ctx.prepared.edges, ctx.prepared.priors, seeds50)
+    val out = Sigma.run(ctx.sigmaNeighbours, ctx.prepared.priors, seeds50)
     assert(out.size > seeds50.size)
     val prf = Metrics.prfSets(out, ctx.gold)
     assert(prf.precision > 0.5, s"$prf")
   }
   test("SiGMa enforces a hard 1:1 matching") {
-    val out = Sigma.run(ctx.prepared.edges, ctx.prepared.priors, seeds50)
+    val out = Sigma.run(ctx.sigmaNeighbours, ctx.prepared.priors, seeds50)
     assert(out.toSeq.map(_._1).distinct.size == out.size)
     assert(out.toSeq.map(_._2).distinct.size == out.size)
   }
   test("SiGMa includes all non-conflicting seeds") {
-    val out = Sigma.run(ctx.prepared.edges, ctx.prepared.priors, seeds50)
+    val out = Sigma.run(ctx.sigmaNeighbours, ctx.prepared.priors, seeds50)
     assert(seeds50.subsetOf(out))
   }
 

@@ -90,6 +90,16 @@ class RempIntegrationSpec extends SparkSpec {
     assert(res.classifierMatches.subsetOf(da.prepared.isolated))
     assert(res.classifierMatches.nonEmpty)
   }
+  test("connected is the retained pairs on an edge, and isolated the rest") {
+    for (c <- Seq(iimb, da)) {
+      val p = c.prepared
+      val endpoints = p.edges.select("srcId1", "srcId2", "dstId1", "dstId2").collect()
+        .flatMap(r => Seq((r.getLong(0), r.getLong(1)), (r.getLong(2), r.getLong(3)))).toSet
+      assert(p.connected.nonEmpty)
+      assert(p.connected == p.priors.keySet.filter(endpoints))
+      assert(p.isolated == p.priors.keySet -- p.connected)
+    }
+  }
   test("gold set round-trips through goldSet") {
     assert(Remp.goldSet(iimb.pair.gold) == iimb.gold)
   }

@@ -1,14 +1,14 @@
 package repro.core
 
 import repro.{PreparedDump, SparkSpec}
-import repro.baselines.{Corleone, Power, Sigma}
+import repro.baselines.{Corleone, Paris, Power, Sigma}
 import repro.core.truth.WorkerPool
 import repro.synth.KBPairGen
 import repro.tables.Tables
 
 /** `prepare`, a seeded crowd session and the table harness's baselines give
   * bit-identical outputs whatever the shuffle partition count and the
-  * adaptive query execution setting.
+  * adaptive query execution setting, and SiGMa whatever its edge order.
   */
 class SettingsIndependenceSpec extends SparkSpec {
 
@@ -24,9 +24,14 @@ class SettingsIndependenceSpec extends SparkSpec {
     finally saved.foreach { case (k, v) => spark.conf.set(k, v) }
   }
 
-  /** The dump of `prepare` and one session's questions, loops and matches. */
+  /** The dump of `prepare` and one session's questions, loops and matches.
+    * Spark's cache is emptied first: the settings share one generated pair,
+    * and a plan cached under the previous setting would otherwise serve
+    * this one's data.
+    */
   private def outputs(pair: KBPairGen.KBPair, partitions: Int, aqe: Boolean): (Seq[String], (Int, Int, Seq[Remp.Pair])) =
     under(partitions, aqe) {
+      spark.catalog.clearCache()
       val p = Remp.prepare(spark, pair)
       val r = Remp.resolve(p, WorkerPool.fixedError(0.05, seed = 3L))
       (PreparedDump(p), (r.questions, r.loops, r.matches.toSeq.sorted))
@@ -46,36 +51,38 @@ class SettingsIndependenceSpec extends SparkSpec {
     }
   }
 
-  test("POWER, Corleone and SiGMa answer the same under shuffle partitions {4, 64}") {
+  test("POWER, Corleone, SiGMa and PARIS agree at 4 and 64 partitions") {
     val differing = Tables.Profiles.flatMap { profile =>
-      // A fresh copy of the cached context, so its features are built under
-      // each setting.
+      // A fresh copy of the cached context, with Spark's cache emptied, so
+      // the ER graph's edges are computed and collected, and the features and
+      // neighbour lists built, under each setting.
       val shared = Tables.ctx(spark, profile, scale = 0.25)
       val seeds = shared.gold.toSeq.sorted.take(shared.gold.size / 2).toSet
       def answers(partitions: Int) = under(partitions, aqe = false) {
+        spark.catalog.clearCache()
         val c = shared.copy()
-        def pool(seed: Long) = WorkerPool.fixedError(0.05, seed = seed).withDifficulty(c.difficultyFn, seed)
         Seq(
-          "POWER" -> Power.run(c.candFeatures, c.gold, pool(103)),
-          "Corleone" -> Corleone.run(c.candFeatures, c.gold, pool(104)),
-          "SiGMa" -> Sigma.run(c.prepared.edges, c.prepared.priors, seeds))
+          "POWER" -> Power.run(c.candFeatures, c.gold, c.crowd(103)),
+          "Corleone" -> Corleone.run(c.candFeatures, c.gold, c.crowd(104)),
+          "SiGMa" -> Sigma.run(c.sigmaNeighbours, c.prepared.priors, seeds),
+          "PARIS" -> Paris.run(c.parisNeighbours, seeds))
       }
       answers(4).zip(answers(64)).collect { case ((name, a), (_, b)) if a != b => s"$profile $name" }
     }
     assert(differing.isEmpty, s"answers differ at 4 and 64 shuffle partitions: ${differing.mkString(", ")}")
   }
 
-  test("SiGMa breaks ties the same way under shuffle partitions {4, 64}") {
+  test("SiGMa breaks ties the same way whatever its edge order") {
     // Each seed has two neighbours with equal scores that share a KB1
     // entity, so the 1:1 constraint commits whichever leaves the queue first.
     val n = 20L
     val seeds = (0L until n).map(i => (i, 1000 + i)).toSet
-    val rows = seeds.toSeq.flatMap { case (i, j) =>
-      Seq((i, j, 100 + i, 2000 + i), (i, j, 100 + i, 3000 + i)) }
-    val edges = spark.createDataFrame(rows).toDF("srcId1", "srcId2", "dstId1", "dstId2")
-    val prior = rows.map(r => (r._3, r._4) -> 0.5).toMap ++ seeds.map(_ -> 1.0)
-    val Seq(few, many) = Seq(4, 64).map(k => under(k, aqe = false)(Sigma.run(edges, prior, seeds)))
-    assert(few.size == 2 * n)
-    assert(few == many)
+    val rows = seeds.toSeq.sorted.flatMap { case s @ (i, _) =>
+      Seq((s, (100 + i, 2000 + i)), (s, (100 + i, 3000 + i))) }
+    val prior = rows.map(_._2 -> 0.5).toMap ++ seeds.map(_ -> 1.0)
+    val Seq(given, reversed) =
+      Seq(rows, rows.reverse).map(r => Sigma.run(Sigma.neighbours(r), prior, seeds))
+    assert(given.size == 2 * n)
+    assert(given == reversed)
   }
 }

@@ -8,7 +8,7 @@ class AttributeMatcherSpec extends SparkSpec {
 
   private lazy val (kb1, kb2) = TestKBs.figure1(spark)
   private lazy val mIn = TestKBs.figure1Gold.toSeq.toDF("id1", "id2")
-  private lazy val sims = AttributeMatcher.attributeSimilarities(spark, kb1, kb2, mIn)
+  private lazy val sims = AttributeMatcher.attributeSimilarities(spark, kb1, kb2, mIn, 0.9)
 
   private def simOf(s: Seq[(String, String, Double)], a1: String, a2: String): Seq[Double] =
     s.collect { case (`a1`, `a2`, v) => v }
@@ -20,17 +20,17 @@ class AttributeMatcherSpec extends SparkSpec {
     simOf(sims, "y_born", "d_year").foreach(v => assert(v < 0.5))
   }
   test("1:1 matching recovers the renamed attribute alignment") {
-    val m = AttributeMatcher.matchAttributes(sims).map(t => (t._1, t._2)).toSet
+    val m = AttributeMatcher.matchAttributes(sims, 0.4).map(t => (t._1, t._2)).toSet
     assert(m == Set(("y_born", "d_born"), ("y_year", "d_year"), ("y_pop", "d_pop")))
   }
   test("1:1 matching is injective on both sides") {
-    val m = AttributeMatcher.matchAttributes(sims)
+    val m = AttributeMatcher.matchAttributes(sims, 0.4)
     assert(m.map(_._1).distinct.size == m.size)
     assert(m.map(_._2).distinct.size == m.size)
   }
   test("no-1:1 variant is a superset of 1:1 under the same threshold") {
-    val m11 = AttributeMatcher.matchAttributes(sims).map(t => (t._1, t._2)).toSet
-    val mAll = AttributeMatcher.matchAttributesNo11(sims).map(t => (t._1, t._2)).toSet
+    val m11 = AttributeMatcher.matchAttributes(sims, 0.4).map(t => (t._1, t._2)).toSet
+    val mAll = AttributeMatcher.matchAttributesNo11(sims, 0.4).map(t => (t._1, t._2)).toSet
     assert(m11.subsetOf(mAll))
   }
   test("attribute similarity denominator counts one-sided support (Eq. 1)") {
@@ -43,7 +43,7 @@ class AttributeMatcherSpec extends SparkSpec {
         (TestKBs.John + TestKBs.Off, "d_rare", "qqq"))).toSeq.toDF("subj", "attr", "value")
     val kb1b = kb1.copy(attrs = attrs1)
     val kb2b = kb2.copy(attrs = attrs2)
-    val s = simOf(AttributeMatcher.attributeSimilarities(spark, kb1b, kb2b, mIn), "y_rare", "d_rare")
+    val s = simOf(AttributeMatcher.attributeSimilarities(spark, kb1b, kb2b, mIn, 0.9), "y_rare", "d_rare")
     // numerator: 1 (Joan); denominator: pairs(y_rare)=1 + pairs(d_rare)=2 − both=1 = 2
     assert(s.length == 1 && math.abs(s.head - 0.5) < 1e-9)
   }
@@ -66,17 +66,17 @@ class AttributeMatcherSpec extends SparkSpec {
         (rows.count(_._1.nonEmpty) + rows.count(_._2.nonEmpty) - both.size))
 
       val got = AttributeMatcher.attributeSimilarities(spark,
-        TestKBs.attrKB(spark, t1), TestKBs.attrKB(spark, t2), mIn.toDF("id1", "id2"))
+        TestKBs.attrKB(spark, t1), TestKBs.attrKB(spark, t2), mIn.toDF("id1", "id2"), 0.9)
       assert(got.map(t => (t._1, t._2)) == expected.map(t => (t._1, t._2)), s"seed $seed")
       got.zip(expected).foreach { case (g, e) => assert(math.abs(g._3 - e._3) < 1e-12, s"seed $seed: $g vs $e") }
     }
   }
   test("empty initial matches yield no similarities") {
     val empty = Seq.empty[(Long, Long)].toDF("id1", "id2")
-    assert(AttributeMatcher.attributeSimilarities(spark, kb1, kb2, empty).isEmpty)
+    assert(AttributeMatcher.attributeSimilarities(spark, kb1, kb2, empty, 0.9).isEmpty)
   }
   test("matchAttributes on empty sims is empty") {
-    assert(AttributeMatcher.matchAttributes(Seq.empty).isEmpty)
+    assert(AttributeMatcher.matchAttributes(Seq.empty, 0.4).isEmpty)
   }
   test("minSim filters weak matches") {
     val m = AttributeMatcher.matchAttributes(sims, minSim = 1.01)
@@ -87,8 +87,8 @@ class AttributeMatcherSpec extends SparkSpec {
       repro.synth.KBPairGen.profile("dy", scale = 0.12))
     val cands = CandidateGen.candidates(pair.kb1, pair.kb2, 0.3)
     val s = AttributeMatcher.attributeSimilarities(spark, pair.kb1, pair.kb2,
-      CandidateGen.initialMatches(cands))
-    val found = AttributeMatcher.matchAttributes(s).map(t => (t._1, t._2)).toSet
+      CandidateGen.initialMatches(cands), 0.9)
+    val found = AttributeMatcher.matchAttributes(s, 0.4).map(t => (t._1, t._2)).toSet
     val gold = pair.goldAttrMatches.toSet
     val tp = found.intersect(gold).size.toDouble
     assert(found.nonEmpty)

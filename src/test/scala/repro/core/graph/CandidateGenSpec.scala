@@ -69,8 +69,9 @@ class CandidateGenSpec extends SparkSpec {
   test("synthetic profile: candidates cover most gold matches") {
     val pair = repro.synth.KBPairGen.generate(spark,
       repro.synth.KBPairGen.profile("iimb", scale = 0.3))
-    val c = CandidateGen.candidates(pair.kb1, pair.kb2, 0.3)
-    val pc = repro.core.Metrics.pairCompleteness(c, pair.gold)
+    val c = CandidateGen.candidates(pair.kb1, pair.kb2, 0.3).select("id1", "id2").collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSet
+    val pc = repro.core.Metrics.pairCompleteness(c, repro.core.Remp.goldSet(pair.gold))
     assert(pc > 0.9, s"pair completeness $pc")
   }
 }

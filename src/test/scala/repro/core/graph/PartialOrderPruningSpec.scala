@@ -87,12 +87,15 @@ class PartialOrderPruningSpec extends SparkSpec {
       repro.synth.KBPairGen.profile("da", scale = 0.15))
     val cands = CandidateGen.candidates(pair.kb1, pair.kb2, 0.3).cache()
     val mIn = CandidateGen.initialMatches(cands)
-    val sims = AttributeMatcher.attributeSimilarities(spark, pair.kb1, pair.kb2, mIn)
-    val mAt = AttributeMatcher.matchAttributes(sims)
-    val withVec = SimVectors.withVectors(spark, cands, pair.kb1, pair.kb2, mAt)
+    val sims = AttributeMatcher.attributeSimilarities(spark, pair.kb1, pair.kb2, mIn, 0.9)
+    val mAt = AttributeMatcher.matchAttributes(sims, 0.4)
+    val withVec = SimVectors.withVectors(spark, cands, pair.kb1, pair.kb2, mAt, 0.9)
     val pruned = PartialOrderPruning.prune(spark, withVec, k = 4)
-    val pcBefore = repro.core.Metrics.pairCompleteness(cands, pair.gold)
-    val pcAfter = repro.core.Metrics.pairCompleteness(pruned, pair.gold)
+    val gold = repro.core.Remp.goldSet(pair.gold)
+    def pairs(df: org.apache.spark.sql.DataFrame) =
+      df.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val pcBefore = repro.core.Metrics.pairCompleteness(pairs(cands), gold)
+    val pcAfter = repro.core.Metrics.pairCompleteness(pairs(pruned), gold)
     assert(pruned.count() <= cands.count())
     assert(pcAfter >= pcBefore - 0.05, s"PC dropped from $pcBefore to $pcAfter")
   }

@@ -13,7 +13,7 @@ class SimVectorsSpec extends SparkSpec {
     ("y_born", "d_born", 1.0), ("y_year", "d_year", 1.0), ("y_pop", "d_pop", 1.0))
 
   private lazy val withVec =
-    SimVectors.withVectors(spark, cands, kb1, kb2, attrMatches).cache()
+    SimVectors.withVectors(spark, cands, kb1, kb2, attrMatches, 0.9).cache()
 
   private def vecOf(id1: Long, id2: Long): Array[Double] =
     withVec.filter($"id1" === id1 && $"id2" === id2)
@@ -34,7 +34,7 @@ class SimVectorsSpec extends SparkSpec {
     rows.foreach(r => assert(r.getSeq[Double](r.fieldIndex("vec")).forall(_ < 1.0)))
   }
   test("empty attribute match list yields empty vectors") {
-    val out = SimVectors.withVectors(spark, cands, kb1, kb2, Seq.empty)
+    val out = SimVectors.withVectors(spark, cands, kb1, kb2, Seq.empty, 0.9)
     out.select("vec").collect().foreach(r => assert(r.getSeq[Double](0).isEmpty))
   }
   test("all vector components are in [0,1]") {
@@ -49,7 +49,7 @@ class SimVectorsSpec extends SparkSpec {
     val attrs2 = kb2.attrs.withColumn("value",
       when($"subj" === TestKBs.Cradle + TestKBs.Off && $"attr" === "d_year", lit("1930"))
         .otherwise($"value"))
-    val out = SimVectors.withVectors(spark, cands, kb1, kb2.copy(attrs = attrs2), attrMatches)
+    val out = SimVectors.withVectors(spark, cands, kb1, kb2.copy(attrs = attrs2), attrMatches, 0.9)
     val v = out.filter($"id1" === TestKBs.Cradle && $"id2" === TestKBs.Cradle + TestKBs.Off)
       .select("vec").collect().head.getSeq[Double](0)
     assert(v(1) == 1.0) // within the 0.9 internal threshold ⇒ counted as shared
@@ -71,7 +71,7 @@ class SimVectorsSpec extends SparkSpec {
     }.toMap
 
     val cands = pairs.map { case (u1, u2) => (u1, u2, 0.5, false) }.toDF("id1", "id2", "prior", "exact")
-    val got = SimVectors.withVectors(spark, cands, TestKBs.attrKB(spark, t1), TestKBs.attrKB(spark, t2), matches)
+    val got = SimVectors.withVectors(spark, cands, TestKBs.attrKB(spark, t1), TestKBs.attrKB(spark, t2), matches, 0.9)
       .select("id1", "id2", "vec").collect()
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getSeq[Double](2)).toMap
     assert(got == expected)
