@@ -172,12 +172,13 @@ object Remp {
 
     // Isolated-pair classifier (§VII-B): resolved matches are positives;
     // unresolved + labelled non-matches are negatives. Every connected and
-    // isolated pair is a retained pair, so it has a vector and a prior.
+    // isolated pair is a retained pair, so it has a vector and a prior. Rows
+    // go in pair order: the forest's bootstrap draws by row index.
     def feat(p: Pair): Array[Double] = prepared.vecs(p) :+ prepared.priors(p)
     val positives = (labelledM ++ inferredM).toSeq.map(p => (p, feat(p), true))
     val negatives = (labelledN ++ unresolved).toSeq.map(p => (p, feat(p), false))
-    val isolatedFeats = prepared.isolated.toSeq.map(p => (p, feat(p)))
-    val classifierM = IsolatedClassifier.classify(positives ++ negatives, isolatedFeats)
+    val isolatedFeats = prepared.isolated.toSeq.sorted.map(p => (p, feat(p)))
+    val classifierM = IsolatedClassifier.classify((positives ++ negatives).sortBy(_._1), isolatedFeats)
 
     val matches = labelledM.toSet ++ inferredM.toSet ++ classifierM
     Result(matches, questions, loops,

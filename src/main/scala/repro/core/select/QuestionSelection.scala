@@ -32,7 +32,16 @@ object QuestionSelection {
       .sum
   }
 
-  /** Algorithm 3: lazy greedy selection of up to `mu` questions. */
+  /** (gain asc, pair desc): the queue's maximum is the largest gain, and
+    * among equal gains the smallest pair.
+    */
+  private val ByGainThenPair: Ordering[(Double, Pair)] =
+    Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering[Pair].reverse)
+
+  /** Algorithm 3: lazy greedy selection of up to `mu` questions. Ties in
+    * gain go to the smaller pair, so the result is plain greedy's with the
+    * (gain desc, pair asc) order, whatever the candidates' iteration order.
+    */
   def selectGreedy(
       inferred: Map[Pair, Seq[Pair]],
       priors: Map[Pair, Double],
@@ -41,8 +50,9 @@ object QuestionSelection {
       mu: Int): Seq[Pair] = {
     val b = mutable.Map.empty[Pair, Double] // b_p(Q)
     val selected = mutable.ArrayBuffer.empty[Pair]
-    // priority queue over (gain, staleness marker); lazy re-evaluation
-    val pq = mutable.PriorityQueue.empty[(Double, Pair)](Ordering.by(_._1))
+    // Priority queue over (gain, pair), lazily re-evaluated. Its head has the
+    // largest gain and, among equal gains, the smallest pair.
+    val pq = mutable.PriorityQueue.empty[(Double, Pair)](ByGainThenPair)
     for (q <- candidates)
       pq.enqueue((gain(q, inferred, priors, unresolved, b), q))
 
@@ -51,8 +61,7 @@ object QuestionSelection {
       if (staleGain <= 0) { pq.clear() } // nothing useful remains
       else {
         val fresh = gain(q, inferred, priors, unresolved, b)
-        val nextBest = if (pq.isEmpty) Double.NegativeInfinity else pq.head._1
-        if (fresh >= nextBest) {
+        if (pq.isEmpty || ByGainThenPair.gteq((fresh, q), pq.head)) {
           if (fresh > 0) {
             selected += q
             val pqPrior = priors(q)

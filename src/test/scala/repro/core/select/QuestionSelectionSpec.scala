@@ -88,6 +88,16 @@ class QuestionSelectionSpec extends PropSpec {
     }
     intercept[NoSuchElementException] { selectMaxPr(priors - p(5), priors.keySet, 1) }
   }
+  test("greedy breaks ties in gain by pair order, whatever the candidates' order") {
+    // Six disjoint questions of equal gain: the smallest pairs win.
+    val inf = (1 to 6).map(i => p(i) -> Seq(p(i), p(10 + i))).toMap
+    val pri = (1 to 6).map(i => p(i) -> 0.5).toMap
+    val universe = inf.values.flatten.toSet
+    forSeeds() { rnd =>
+      val shuffled = scala.collection.immutable.ListSet(rnd.shuffle(inf.keys.toSeq): _*)
+      assert(selectGreedy(inf, pri, shuffled, universe, 3) == Seq(p(1), p(2), p(3)))
+    }
+  }
   test("greedy matches exhaustive optimum on small instances") {
     forSeeds(30) { rnd =>
       val n = 5
