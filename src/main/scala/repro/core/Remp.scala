@@ -4,9 +4,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.core.graph._
 import repro.core.prop._
-import repro.core.select.QuestionSelection
+import repro.core.select.{InferredGraph, QuestionSelection}
 import repro.core.truth._
-import repro.kb.KBAug
+import repro.kb.{KB, KBAug}
 import repro.synth.KBPairGen.KBPair
 
 /** The full Remp pipeline (§III-B workflow) — ER graph construction,
@@ -45,6 +45,8 @@ object Remp {
 
   /** Everything computed before the first crowd round. All competing methods
     * consume the same retained matches M_rd (as in the paper's setup).
+    * `graph` numbers the connected pairs and holds their inferred sets and
+    * priors for the crowd loop; it is built once, with the `Prepared`.
     */
   final case class Prepared(
       numCandidates: Long,
@@ -60,8 +62,14 @@ object Remp {
       vecs: Map[Pair, Array[Double]],
       connected: Set[Pair],
       isolated: Set[Pair],
-      gold: Set[Pair])
+      gold: Set[Pair]) {
+    val graph: InferredGraph = InferredGraph(connected, p => inferred(p).map(_._1), priors)
+  }
 
+  /** One crowd session's outcome. `loopCapped`: `maxLoops` ended the loop
+    * while some pair was still askable. `hardVerdicts`: the verdicts that
+    * left their question unresolved (§VII-A), counted per question asked.
+    */
   final case class Result(
       matches: Set[Pair],
       questions: Int,
@@ -69,7 +77,9 @@ object Remp {
       prf: Metrics.PRF,
       labelledMatches: Set[Pair],
       inferredMatches: Set[Pair],
-      classifierMatches: Set[Pair])
+      classifierMatches: Set[Pair],
+      loopCapped: Boolean,
+      hardVerdicts: Int)
 
   def goldSet(gold: DataFrame): Set[Pair] =
     gold.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
@@ -77,10 +87,17 @@ object Remp {
   /** Stages 1–2 of the workflow: ER graph construction + propagation model.
     * Relationships are augmented with inverses (KBAug) so propagation flows
     * both ways along every triple.
+    *
+    * The pair's KBs should come cached, as `KBPairGen.generate` leaves them:
+    * `prepare` caches only the relationships it derives from them.
     */
   def prepare(spark: SparkSession, pair: KBPair, cfg: Config = Config()): Prepared = {
-    val kb1 = KBAug.withInverses(pair.kb1).cache()
-    val kb2 = KBAug.withInverses(pair.kb2).cache()
+    def withInverses(kb: KB): KB = {
+      val aug = KBAug.withInverses(kb)
+      aug.copy(rels = aug.rels.cache())
+    }
+    val kb1 = withInverses(pair.kb1)
+    val kb2 = withInverses(pair.kb2)
     val cands = CandidateGen.candidates(kb1, kb2, cfg.jaccardThreshold).cache()
     val numCandidates = cands.count()
     val mIn = CandidateGen.initialMatches(cands).cache()
@@ -116,54 +133,54 @@ object Remp {
       probEdges, inferred, priors, vecs, connected, isolated, goldSet(pair.gold))
   }
 
-  /** Stages 3–4, iterated: crowd loop + isolated-pair classifier. */
+  /** Stages 3–4, iterated: crowd loop + isolated-pair classifier. The loop
+    * runs on `prepared.graph`: a copy of its priors (which hard questions
+    * update) and one state byte per pair.
+    */
   def resolve(prepared: Prepared, pool: WorkerPool, cfg: Config = Config()): Result = {
-    val priors = collection.mutable.Map(prepared.priors.toSeq: _*)
-    val unresolved = collection.mutable.Set(prepared.connected.toSeq: _*)
-    val labelledM = collection.mutable.Set.empty[Pair]
-    val inferredM = collection.mutable.Set.empty[Pair]
-    val labelledN = collection.mutable.Set.empty[Pair]
+    import InferredGraph._
+    val g = prepared.graph
+    val prior = g.priors.clone()
+    val state = new Array[Byte](g.size)
+    def has(i: Int, flags: Int): Boolean = (state(i) & flags) != 0
     var loops = 0
     var questions = 0
-    val inferredSeqs: Map[Pair, Seq[Pair]] =
-      prepared.inferred.view.mapValues(_.map(_._1)).toMap
-
-    var continue = true
-    while (continue && loops < cfg.maxLoops) {
+    var hard = 0
+    var capped = false
+    var done = false
+    while (!done) {
       // Stop when no unresolved pair can infer another unresolved pair (§III-B).
-      // Every connected pair is a propagation source, so it has an inferred
-      // list (holding at least itself) and a prior.
-      val askable = unresolved.filter { q =>
-        inferredSeqs(q).exists(p => p != q && unresolved.contains(p))
-      }.toSet
-      if (askable.isEmpty) continue = false
+      val askable = g.askable(state)
+      if (askable.isEmpty) done = true
+      else if (loops == cfg.maxLoops) { capped = true; done = true }
       else {
-        val snapshot = priors.toMap
         val selected = cfg.selection match {
-          case Selection.MaxInf => QuestionSelection.selectMaxInf(inferredSeqs, askable, unresolved.toSet, cfg.mu)
-          case Selection.MaxPr  => QuestionSelection.selectMaxPr(snapshot, askable, cfg.mu)
-          case Selection.Greedy => QuestionSelection.selectGreedy(inferredSeqs, snapshot, askable, unresolved.toSet, cfg.mu)
+          case Selection.MaxInf => QuestionSelection.selectMaxInf(g, state, askable, cfg.mu)
+          case Selection.MaxPr  => QuestionSelection.selectMaxPr(prior, askable, cfg.mu)
+          case Selection.Greedy => QuestionSelection.selectGreedy(g, prior, state, askable, cfg.mu)
         }
-        if (selected.isEmpty) continue = false
+        if (selected.isEmpty) done = true
         else {
           loops += 1
-          questions += selected.size
+          questions += selected.length
+          // Every selected question is asked, also one that an earlier
+          // question of the round has already inferred; its verdict's flag
+          // then joins InferredMatch.
           for (q <- selected) {
-            val truth = prepared.gold.contains(q)
-            val (labels, quals) = pool.labelFor(q, truth)
-            val post = WorkerPool.posterior(priors(q), labels, quals)
-            WorkerPool.verdict(post) match {
+            val pair = g.pairs(q)
+            val (labels, quals) = pool.labelFor(pair, prepared.gold.contains(pair))
+            WorkerPool.verdict(WorkerPool.posterior(prior(q), labels, quals)) match {
               case WorkerPool.IsMatch =>
-                labelledM += q
-                unresolved -= q
-                for ((p, _) <- prepared.inferred(q) if p != q) {
-                  if (unresolved.remove(p)) inferredM += p
+                state(q) = (state(q) | LabelledMatch).toByte
+                for (i <- g.offsets(q) until g.offsets(q + 1)) {
+                  val p = g.targets(i)
+                  if (state(p) == Unresolved) state(p) = InferredMatch
                 }
               case WorkerPool.IsNonMatch =>
-                labelledN += q
-                unresolved -= q
+                state(q) = (state(q) | LabelledNonMatch).toByte
               case WorkerPool.Unresolved(p) =>
-                priors(q) = p // hard question: damp its benefit (§VII-A)
+                prior(q) = p // hard question: damp its benefit (§VII-A)
+                hard += 1
             }
           }
         }
@@ -173,17 +190,23 @@ object Remp {
     // Isolated-pair classifier (§VII-B): resolved matches are positives;
     // unresolved + labelled non-matches are negatives. Every connected and
     // isolated pair is a retained pair, so it has a vector and a prior. Rows
-    // go in pair order: the forest's bootstrap draws by row index.
+    // go in pair order, a positive row before a negative one of the same
+    // pair: the forest's bootstrap draws by row index.
     def feat(p: Pair): Array[Double] = prepared.vecs(p) :+ prepared.priors(p)
-    val positives = (labelledM ++ inferredM).toSeq.map(p => (p, feat(p), true))
-    val negatives = (labelledN ++ unresolved).toSeq.map(p => (p, feat(p), false))
+    val training = g.pairs.indices.flatMap { i =>
+      val p = g.pairs(i)
+      (if (has(i, LabelledMatch | InferredMatch)) Seq((p, feat(p), true)) else Nil) ++
+        (if (state(i) == Unresolved || has(i, LabelledNonMatch)) Seq((p, feat(p), false)) else Nil)
+    }
     val isolatedFeats = prepared.isolated.toSeq.sorted.map(p => (p, feat(p)))
-    val classifierM = IsolatedClassifier.classify((positives ++ negatives).sortBy(_._1), isolatedFeats)
+    val classifierM = IsolatedClassifier.classify(training, isolatedFeats)
 
-    val matches = labelledM.toSet ++ inferredM.toSet ++ classifierM
-    Result(matches, questions, loops,
-      Metrics.prfSets(matches, prepared.gold),
-      labelledM.toSet, inferredM.toSet, classifierM)
+    def flagged(flag: Int): Set[Pair] = g.pairs.indices.filter(has(_, flag)).map(g.pairs).toSet
+    val labelledM = flagged(LabelledMatch)
+    val inferredM = flagged(InferredMatch)
+    val matches = labelledM ++ inferredM ++ classifierM
+    Result(matches, questions, loops, Metrics.prfSets(matches, prepared.gold),
+      labelledM, inferredM, classifierM, capped, hard)
   }
 
   /** Table VI mode: propagate from given seed matches, no crowdsourcing and

@@ -79,14 +79,16 @@ class QuestionSelectionSpec extends PropSpec {
     assert(selectGreedy(inferred, priors, priors.keySet, all, 2).size == 2)
   }
   test("greedy ignores zero-benefit questions") {
-    val sel = selectGreedy(inferred, priors, priors.keySet, Set.empty, 10)
+    val sel = selectGreedy(inferred, priors, priors.keySet, Set.empty[Pair], 10)
     assert(sel.isEmpty)
   }
   test("a candidate with no prior is rejected") {
     intercept[NoSuchElementException] {
       selectGreedy(inferred, priors - p(5), priors.keySet, all, 1)
     }
-    intercept[NoSuchElementException] { selectMaxPr(priors - p(5), priors.keySet, 1) }
+    intercept[NoSuchElementException] {
+      InferredGraph(Seq(p(2), p(5)), Map(p(2) -> Seq(p(2)), p(5) -> Seq(p(5))), priors - p(5))
+    }
   }
   test("greedy breaks ties in gain by pair order, whatever the candidates' order") {
     // Six disjoint questions of equal gain: the smallest pairs win.
@@ -114,18 +116,69 @@ class QuestionSelectionSpec extends PropSpec {
     }
   }
 
-  // --- MaxInf / MaxPr ---
+  /** Plain greedy: every step scores each remaining candidate afresh and
+    * takes the largest gain, the smallest pair among equal gains.
+    */
+  private def plainGreedy(
+      inferred: Map[Pair, Seq[Pair]],
+      priors: Map[Pair, Double],
+      candidates: Set[Pair],
+      unresolved: Set[Pair],
+      mu: Int): Seq[Pair] = {
+    val b = mutable.Map.empty[Pair, Double].withDefaultValue(0.0)
+    def gain(q: Pair): Double =
+      inferred(q).iterator.filter(unresolved).map(p => (1.0 - b(p)) * priors(q)).sum
+    val selected = mutable.ArrayBuffer.empty[Pair]
+    var rest = candidates.toSeq.sorted
+    var stop = false
+    while (!stop && selected.size < mu && rest.nonEmpty) {
+      // maxBy keeps the first of equal maxima, and `rest` is in pair order.
+      val (q, g) = rest.map(q => (q, gain(q))).maxBy(_._2)
+      if (g <= 0) stop = true
+      else {
+        selected += q
+        rest = rest.filterNot(_ == q)
+        for (p <- inferred(q) if unresolved(p)) b(p) = b(p) + (1.0 - b(p)) * priors(q)
+      }
+    }
+    selected.toSeq
+  }
+
+  test("lazy greedy on the index equals plain greedy with the (gain desc, pair asc) tie-break") {
+    forSeeds(200) { rnd =>
+      // Priors of 1/2 and 1/4 and lists of few sizes: the gains are exact
+      // dyadic sums, so equal gains are frequent and compare equal.
+      val n = 3 + rnd.nextInt(10)
+      val all = (1 to n).map(p)
+      val inf = all.map(q => q -> (Seq(q) ++ all.filter(x => x != q && rnd.nextInt(3) == 0))).toMap
+      val pri = all.map(q => q -> (if (rnd.nextBoolean()) 0.5 else 0.25)).toMap
+      val unresolved = all.filter(_ => rnd.nextInt(4) != 0).toSet
+      val candidates = unresolved.filter(_ => rnd.nextInt(3) != 0)
+      val mu = 1 + rnd.nextInt(n)
+      val g = InferredGraph(all, inf, pri)
+      val state = g.pairs.map(x => if (unresolved(x)) InferredGraph.Unresolved else InferredGraph.LabelledMatch)
+      val lazySel = selectGreedy(g, g.priors, state, rnd.shuffle(candidates.toSeq).map(g.index).toArray, mu)
+      assert(lazySel.toSeq.map(g.pairs) == plainGreedy(inf, pri, candidates, unresolved, mu))
+    }
+  }
+
+  // --- MaxInf / MaxPr, on the index ---
+  private val graph = InferredGraph(all, q => inferred.getOrElse(q, Seq(q)), q => priors.getOrElse(q, 0.0))
+  private def stateOf(unresolved: Set[Pair]): Array[Byte] =
+    graph.pairs.map(x => if (unresolved(x)) InferredGraph.Unresolved else InferredGraph.LabelledMatch)
+  private val sources: Array[Int] = priors.keys.toArray.map(graph.index)
+
   test("MaxInf picks the largest inferred set") {
-    assert(selectMaxInf(inferred, priors.keySet, all, 1) == Seq(p(1)))
+    assert(selectMaxInf(graph, stateOf(all), sources, 1).toSeq.map(graph.pairs) == Seq(p(1)))
   }
   test("MaxInf counts only unresolved pairs") {
-    val sel = selectMaxInf(inferred, priors.keySet, Set(p(5), p(6)), 1)
-    assert(sel == Seq(p(5)))
+    val sel = selectMaxInf(graph, stateOf(Set(p(5), p(6))), sources, 1)
+    assert(sel.toSeq.map(graph.pairs) == Seq(p(5)))
   }
   test("MaxPr picks the highest prior") {
-    assert(selectMaxPr(priors, priors.keySet, 1) == Seq(p(2)))
+    assert(selectMaxPr(graph.priors, sources, 1).toSeq.map(graph.pairs) == Seq(p(2)))
   }
   test("MaxPr respects mu and ordering") {
-    assert(selectMaxPr(priors, priors.keySet, 2) == Seq(p(2), p(1)))
+    assert(selectMaxPr(graph.priors, sources, 2).toSeq.map(graph.pairs) == Seq(p(2), p(1)))
   }
 }
