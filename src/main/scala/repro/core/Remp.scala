@@ -46,7 +46,12 @@ object Remp {
   /** Everything computed before the first crowd round. All competing methods
     * consume the same retained matches M_rd (as in the paper's setup).
     * `graph` numbers the connected pairs and holds their inferred sets and
-    * priors for the crowd loop; it is built once, with the `Prepared`.
+    * priors for the crowd loop. The isolated-pair classifier's inputs that
+    * no crowd changes are built with it, once, with the `Prepared`:
+    * `features(i)` is connected pair i's row (its vector, then its prior);
+    * `isolatedPairs` are the isolated pairs in pair order; `isolatedVectors`
+    * are their distinct rows, and `isolatedVector(j)` is isolated pair j's
+    * index into them.
     */
   final case class Prepared(
       numCandidates: Long,
@@ -64,11 +69,20 @@ object Remp {
       isolated: Set[Pair],
       gold: Set[Pair]) {
     val graph: InferredGraph = InferredGraph(connected, p => inferred(p).map(_._1), priors)
+    private def feature(p: Pair): Array[Double] = vecs(p) :+ priors(p)
+    val features: Array[Array[Double]] = graph.pairs.map(feature)
+    val isolatedPairs: Array[Pair] = isolated.toArray.sorted
+    private val isolatedRows = RandomForest.distinct(isolatedPairs.map(feature))
+    val isolatedVector: Array[Int] = isolatedRows._1
+    val isolatedVectors: Array[Array[Double]] = isolatedRows._2.map(j => feature(isolatedPairs(j)))
   }
 
   /** One crowd session's outcome. `loopCapped`: `maxLoops` ended the loop
     * while some pair was still askable. `hardVerdicts`: the verdicts that
     * left their question unresolved (§VII-A), counted per question asked.
+    * The isolated-pair classifier's training set: `trainingPositives` and
+    * `trainingNegatives` rows, which fell into `trainingGroups` distinct
+    * (row, label) groups; 0 groups when no forest was fitted.
     */
   final case class Result(
       matches: Set[Pair],
@@ -79,7 +93,10 @@ object Remp {
       inferredMatches: Set[Pair],
       classifierMatches: Set[Pair],
       loopCapped: Boolean,
-      hardVerdicts: Int)
+      hardVerdicts: Int,
+      trainingPositives: Int,
+      trainingNegatives: Int,
+      trainingGroups: Int)
 
   def goldSet(gold: DataFrame): Set[Pair] =
     gold.select("id1", "id2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
@@ -188,25 +205,28 @@ object Remp {
     }
 
     // Isolated-pair classifier (§VII-B): resolved matches are positives;
-    // unresolved + labelled non-matches are negatives. Every connected and
-    // isolated pair is a retained pair, so it has a vector and a prior. Rows
-    // go in pair order, a positive row before a negative one of the same
-    // pair: the forest's bootstrap draws by row index.
-    def feat(p: Pair): Array[Double] = prepared.vecs(p) :+ prepared.priors(p)
-    val training = g.pairs.indices.flatMap { i =>
-      val p = g.pairs(i)
-      (if (has(i, LabelledMatch | InferredMatch)) Seq((p, feat(p), true)) else Nil) ++
-        (if (state(i) == Unresolved || has(i, LabelledNonMatch)) Seq((p, feat(p), false)) else Nil)
+    // unresolved + labelled non-matches are negatives. Rows go in pair
+    // order, a positive row before a negative one of the same pair: the
+    // forest's bootstrap draws by row index. Each distinct isolated row is
+    // classified once.
+    val xs = Array.newBuilder[Array[Double]]
+    val ys = Array.newBuilder[Boolean]
+    for (i <- 0 until g.size) {
+      if (has(i, LabelledMatch | InferredMatch)) { xs += prepared.features(i); ys += true }
+      if (state(i) == Unresolved || has(i, LabelledNonMatch)) { xs += prepared.features(i); ys += false }
     }
-    val isolatedFeats = prepared.isolated.toSeq.sorted.map(p => (p, feat(p)))
-    val classifierM = IsolatedClassifier.classify(training, isolatedFeats)
+    val labels = ys.result()
+    val (verdicts, groups) = IsolatedClassifier.classify(xs.result(), labels, prepared.isolatedVectors)
+    val classifierM = prepared.isolatedPairs.indices
+      .filter(j => verdicts(prepared.isolatedVector(j))).map(prepared.isolatedPairs).toSet
+    val positives = labels.count(identity)
 
     def flagged(flag: Int): Set[Pair] = g.pairs.indices.filter(has(_, flag)).map(g.pairs).toSet
     val labelledM = flagged(LabelledMatch)
     val inferredM = flagged(InferredMatch)
     val matches = labelledM ++ inferredM ++ classifierM
     Result(matches, questions, loops, Metrics.prfSets(matches, prepared.gold),
-      labelledM, inferredM, classifierM, capped, hard)
+      labelledM, inferredM, classifierM, capped, hard, positives, labels.length - positives, groups)
   }
 
   /** Table VI mode: propagate from given seed matches, no crowdsourcing and

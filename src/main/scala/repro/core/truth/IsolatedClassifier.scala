@@ -7,35 +7,37 @@ package repro.core.truth
   * similarity vectors of retained pairs plus the crowd labels to train a
   * random forest: resolved matches are positives; since the propagation
   * yields almost exclusively match labels, *unresolved* retained pairs are
-  * treated as negatives to balance the classes. The paper additionally
-  * restricts the training set to pairs whose attribute-match sets overlap
-  * (Jaccard ≥ ψ = 0.9) with the isolated pair's; our similarity vectors are
-  * already aligned on the global attribute-match list M_at, so every
-  * retained pair shares the attribute space and that filter is the identity
-  * here (noted as a benign simplification in DESIGN.md).
+  * treated as negatives to balance the classes. Here the training set is
+  * every connected pair of the session, and one forest classifies every
+  * isolated pair.
+  *
+  * The paper additionally trains each isolated pair only on the pairs whose
+  * attribute-match sets overlap its own (Jaccard ≥ ψ = 0.9). That filter is
+  * not applied. The similarity vectors are aligned on the global
+  * attribute-match list M_at, but a 0 component means either "one side has
+  * no value" or "the values differ", so a pair's attribute-match set cannot
+  * be read back from its vector.
   *
   * Features: the similarity vector extended with the label-similarity prior.
   */
 object IsolatedClassifier {
 
-  type Pair = (Long, Long)
+  /** The forest's seed. */
+  val Seed = 13L
 
-  /** Train on resolved/unresolved connected pairs; classify isolated pairs.
-    *
-    * @param training (pair, features, isMatchLabel)
-    * @param isolated (pair, features)
-    * @return isolated pairs classified as matches
+  /** Fits the forest on rows `xs` labelled `ys` (true: match) and classifies
+    * each of `vectors`. Returns the verdicts and the number of distinct
+    * (row, label) groups the forest trained on. Without a vector to classify,
+    * or without both a positive and a negative row (nothing learnable),
+    * nothing is fitted: every verdict is false, and there are 0 groups.
     */
   def classify(
-      training: Seq[(Pair, Array[Double], Boolean)],
-      isolated: Seq[(Pair, Array[Double])],
-      seed: Long = 13L): Set[Pair] = {
-    if (isolated.isEmpty) return Set.empty
-    val pos = training.count(_._3)
-    val neg = training.size - pos
-    if (pos == 0 || neg == 0) return Set.empty // degenerate: nothing learnable
-    val forest = new RandomForest(seed = seed)
-    forest.fit(training.map(_._2).toArray, training.map(_._3).toArray)
-    isolated.filter { case (_, x) => forest.predict(x) }.map(_._1).toSet
+      xs: Array[Array[Double]],
+      ys: Array[Boolean],
+      vectors: Array[Array[Double]]): (Array[Boolean], Int) = {
+    if (vectors.isEmpty || !ys.contains(true) || !ys.contains(false))
+      return (new Array[Boolean](vectors.length), 0)
+    val forest = new RandomForest(seed = Seed).fit(xs, ys)
+    (vectors.map(forest.predict), forest.groups)
   }
 }

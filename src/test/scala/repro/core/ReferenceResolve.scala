@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.Remp.{Config, Pair, Prepared, Result, Selection}
-import repro.core.truth.{IsolatedClassifier, WorkerPool}
+import repro.core.truth.{IsolatedClassifier, ReferenceForest, WorkerPool}
 
 import scala.collection.mutable
 
@@ -9,7 +9,9 @@ import scala.collection.mutable
   * inferred lists and priors, with sets of pairs for its state and the
   * selection rules written over them. It pins the same orders as `resolve`:
   * greedy ties go to the smaller pair, and the classifier's rows go in pair
-  * order. The tests require `resolve` to return an equal `Result`.
+  * order. Its classifier is `ReferenceForest`, the per-node-sort forest,
+  * fitted on the training rows one by one and asked about each isolated
+  * pair in turn. The tests require `resolve` to return an equal `Result`.
   */
 object ReferenceResolve {
 
@@ -70,13 +72,24 @@ object ReferenceResolve {
     def feat(p: Pair): Array[Double] = prepared.vecs(p) :+ prepared.priors(p)
     val positives = (labelledM ++ inferredM).toSeq.map(p => (p, feat(p), true))
     val negatives = (labelledN ++ unresolved).toSeq.map(p => (p, feat(p), false))
-    val isolatedFeats = prepared.isolated.toSeq.sorted.map(p => (p, feat(p)))
-    val classifierM = IsolatedClassifier.classify((positives ++ negatives).sortBy(_._1), isolatedFeats)
+    val training = (positives ++ negatives).sortBy(_._1)
+    val fitted = prepared.isolated.nonEmpty && positives.nonEmpty && negatives.nonEmpty
+    val classifierM =
+      if (!fitted) Set.empty[Pair]
+      else {
+        val forest = new ReferenceForest(seed = IsolatedClassifier.Seed)
+          .fit(training.map(_._2).toArray, training.map(_._3).toArray)
+        prepared.isolated.filter(p => forest.predict(feat(p)))
+      }
+    val groups =
+      if (!fitted) 0
+      else training.map { case (_, x, y) => (x.map(java.lang.Double.doubleToRawLongBits).toSeq, y) }.distinct.size
 
     val matches = labelledM.toSet ++ inferredM.toSet ++ classifierM
     Result(matches, questions, loops,
       Metrics.prfSets(matches, prepared.gold),
-      labelledM.toSet, inferredM.toSet, classifierM, capped, hard)
+      labelledM.toSet, inferredM.toSet, classifierM, capped, hard,
+      positives.size, negatives.size, groups)
   }
 
   private def gain(

@@ -45,6 +45,8 @@ class ResolveSpec extends SparkSpec {
     } {
       val (got, want) = both(c.prepared, pool, Config(mu = mu, selection = selection))
       assert(got == want, s"$name, $selection, μ=$mu, $poolName")
+      // Duplicate rows fall into fewer groups than there are rows.
+      assert(got.trainingGroups > 0 && got.trainingGroups < got.trainingPositives + got.trainingNegatives)
     }
   }
 
@@ -67,6 +69,8 @@ class ResolveSpec extends SparkSpec {
     assert(got == want)
     assert(got.questions == 0 && got.loops == 0 && got.loopCapped)
     assert(got.matches.isEmpty) // every training row is a negative
+    assert(got.trainingPositives == 0 && got.trainingNegatives == iimb.prepared.connected.size)
+    assert(got.trainingGroups == 0) // no forest is fitted
   }
 
   test("τ = 1 infers only probability-1 pairs, and resolve runs on that graph") {
@@ -103,6 +107,7 @@ class ResolveSpec extends SparkSpec {
     assert(got == want)
     assert(got.classifierMatches.isEmpty)
     assert(got.matches == Set(p(1), p(2)) && got.prf.f1 == 1.0)
+    assert(got.trainingPositives == 2 && got.trainingNegatives == 1 && got.trainingGroups == 0)
   }
 
   test("maxLoops ends a session whose questions stay unresolved, and both truncations are counted") {

@@ -131,6 +131,67 @@ class RandomForestSpec extends PropSpec {
     assert(f.predictProb(Array.empty) == rates.sum / 20)
     assertSameForest(xs, ys, Array.empty, nTrees = 20, maxDepth = 20, seed = 5)
   }
+  /** The distinct (raw bits, label) rows of a training set. */
+  private def groupCount(xs: Array[Array[Double]], ys: Array[Boolean]): Int =
+    xs.indices.map(r => (xs(r).map(java.lang.Double.doubleToRawLongBits).toSeq, ys(r))).distinct.size
+
+  test("duplicate-heavy rows shaped like the workloads: bit-equal to the reference") {
+    // 12 0/1 similarity components and a two-valued prior, ≈1.2 k rows drawn
+    // from a few hundred vectors; each vector has its own match rate, so
+    // many carry both labels.
+    forSeeds(3) { rnd =>
+      val vectors = Array.fill(300 + rnd.nextInt(150)) {
+        Array.tabulate(13)(f =>
+          if (f < 12) (if (rnd.nextDouble() < 0.3) 1.0 else 0.0)
+          else if (rnd.nextBoolean()) 0.45 else 1 - 1e-9)
+      }
+      val rates = vectors.map(_ => rnd.nextDouble())
+      val picks = Array.fill(1100 + rnd.nextInt(200))(rnd.nextInt(vectors.length))
+      val xs = picks.map(vectors(_).clone())
+      val ys = picks.map(v => rnd.nextDouble() < rates(v))
+      assert(xs.indices.exists(i => xs.indices.exists(j =>
+        picks(i) == picks(j) && ys(i) != ys(j))), "no vector carries both labels")
+      val fresh = Array.fill(40)(Array.tabulate(13)(f =>
+        if (f < 12) (if (rnd.nextBoolean()) 1.0 else 0.0) else rnd.nextDouble()))
+      assertSameForest(xs, ys, fresh, nTrees = 100, maxDepth = 20, seed = rnd.nextLong())
+      val forest = new RandomForest(nTrees = 5).fit(xs, ys)
+      assert(forest.groups == groupCount(xs, ys) && forest.groups < xs.length / 2)
+    }
+  }
+  test("one vector with mixed labels: every tree is one leaf at its bootstrap's positive rate") {
+    val n = 40
+    val xs = Array.fill(n)(Array(1.0, 0.0, 0.5))
+    val ys = Array.tabulate(n)(_ % 3 == 0)
+    val f = new RandomForest(nTrees = 20, seed = 5).fit(xs, ys)
+    assert(f.groups == 2)
+    // Replays the draws: each tree's bootstrap, then the root's feature
+    // shuffle, drawn unless the sample is pure.
+    val rnd = new scala.util.Random(5)
+    val rates = Seq.fill(20) {
+      val pos = Seq.fill(n)(rnd.nextInt(n)).count(ys(_))
+      if (pos != 0 && pos != n) rnd.shuffle((0 until 3).toList)
+      pos.toDouble / n
+    }
+    for (x <- Seq(xs(0), Array(0.0, 1.0, 0.0)))
+      assert(f.predictProb(x) == rates.sum / 20)
+    assertSameForest(xs, ys, Array(Array(0.0, 1.0, 0.0)), nTrees = 20, maxDepth = 20, seed = 5)
+  }
+  test("rows that differ only by the sign of zero or by NaN payload stay separate groups") {
+    val nan2 = java.lang.Double.longBitsToDouble(0x7ff8000000000001L)
+    assert(java.lang.Double.doubleToRawLongBits(nan2) != java.lang.Double.doubleToRawLongBits(Double.NaN))
+    val xs = Array(Array(-0.0), Array(0.0), Array(Double.NaN), Array(nan2), Array(-0.0), Array(0.0))
+    val ys = Array(true, true, false, false, false, true)
+    val (ids, firstRows) = RandomForest.distinct(xs.toIndexedSeq)
+    assert(ids.toSeq == Seq(0, 1, 2, 3, 0, 1) && firstRows.toSeq == Seq(0, 1, 2, 3))
+    assert(new RandomForest(nTrees = 5).fit(xs, ys).groups == 5)
+    val grid = Array(-0.0, 0.0, Double.NaN, nan2, 1.0)
+    forSeeds(6) { rnd =>
+      val xs = Array.fill(60 + rnd.nextInt(100))(Array.fill(2)(grid(rnd.nextInt(grid.length))))
+      val ys = xs.map(x => (x(0) == 1.0) != (rnd.nextDouble() < 0.2))
+      assert(new RandomForest(nTrees = 5).fit(xs, ys).groups == groupCount(xs, ys))
+      assertSameForest(xs, ys, grid.map(v => Array(v, v)), nTrees = 50, maxDepth = 20, seed = rnd.nextLong())
+    }
+  }
   test("ragged training rows are rejected") {
     val xs = Array(Array(0.1, 0.2), Array(0.3), Array(0.5, 0.6))
     intercept[IllegalArgumentException] {

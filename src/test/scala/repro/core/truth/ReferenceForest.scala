@@ -11,9 +11,8 @@ import scala.util.Random
   * The paper trains a scikit-learn random forest with default parameters to
   * resolve isolated entity pairs from their similarity vectors. This is the
   * same algorithm family built locally: CART trees with Gini impurity,
-  * bootstrap sampling and √d feature sub-sampling per split. The training
-  * sets are small (isolated-pair neighbourhoods), so driver-side training is
-  * exactly what the paper does too.
+  * bootstrap sampling and √d feature sub-sampling per split, fitted row by
+  * row: duplicate rows are not merged.
   */
 final class ReferenceForest(
     nTrees: Int = 100,
