@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{col, concat, concat_ws, lit}
 import repro.{SparkSpec, TestKBs}
 import repro.core.Remp.{Config, Pair, Prepared, Selection}
+import repro.core.graph.PartialOrderPruning
 import repro.core.truth.WorkerPool
 import repro.kb.KB
 import repro.synth.KBPairGen.KBPair
@@ -97,6 +99,66 @@ class ResolveSpec extends SparkSpec {
     val (got, want) = both(prepared, () => WorkerPool.oracle(), Config())
     assert(got == want)
     assert(got.questions == 0 && got.loops == 0 && !got.loopCapped && got.matches.isEmpty)
+  }
+
+  /** The pair of `kb1` and `kb2` with the figure-1 gold set. */
+  private def figure1Pair(kb1: KB, kb2: KB): KBPair = {
+    import spark.implicits._
+    KBPair(kb1, kb2, TestKBs.figure1Gold.toSeq.toDF("id1", "id2"), Nil)
+  }
+
+  /** The retained pairs as (pair, similarity vector). */
+  private def retainedVectors(p: Prepared): Map[Pair, Seq[Double]] =
+    p.retained.select("id1", "id2", "vec").collect()
+      .map(r => (r.getLong(0), r.getLong(1)) -> r.getSeq[Double](2)).toMap
+
+  test("labels that share tokens but never match exactly: no initial or attribute matches, empty vectors") {
+    val (kb1, kb2) = TestKBs.figure1(spark)
+    // Each KB2 label gains a token of its own, so no two labels are equal.
+    val renamed = kb2.copy(entities =
+      kb2.entities.withColumn("label", concat_ws(" ", col("label"), concat(lit("v"), col("id")))))
+    val prepared = Remp.prepare(spark, figure1Pair(kb1, renamed))
+    assert(prepared.numCandidates > 0 && prepared.mIn.isEmpty && prepared.attrMatches.isEmpty)
+    val vectors = retainedVectors(prepared)
+    assert(vectors.values.forall(_.isEmpty))
+    // No vector dominates another, so pruning keeps every candidate.
+    assert(vectors.size == prepared.numCandidates)
+    assert(prepared.connected ++ prepared.isolated == vectors.keySet)
+    val (got, want) = both(prepared, () => WorkerPool.oracle(), Config())
+    assert(got == want)
+    assert(got.matches.subsetOf(vectors.keySet) && !got.loopCapped)
+  }
+
+  test("an empty KB: no candidate, an empty graph and an empty result") {
+    val (_, kb2) = TestKBs.figure1(spark)
+    val empty = KB.fromLocal(spark, Seq.empty, Seq.empty, Seq.empty)
+    for (pair <- Seq(figure1Pair(empty, kb2), figure1Pair(kb2, empty))) {
+      val prepared = Remp.prepare(spark, pair)
+      assert(prepared.numCandidates == 0 && prepared.retained.isEmpty && prepared.edges.isEmpty)
+      assert(prepared.priors.isEmpty && prepared.connected.isEmpty && prepared.isolated.isEmpty)
+      assert(prepared.graph.size == 0 && prepared.isolatedVectors.isEmpty)
+      val (got, want) = both(prepared, () => WorkerPool.oracle(), Config())
+      assert(got == want)
+      assert(got.questions == 0 && got.loops == 0 && !got.loopCapped && got.matches.isEmpty)
+      assert(got.prf == Metrics.PRF(0.0, 0.0, 0.0) && got.trainingGroups == 0)
+    }
+  }
+
+  test("k = 1 keeps exactly the pairs no other pair of their blocks dominates") {
+    val cfg = Config(k = 1)
+    val prepared = Remp.prepare(spark, iimb.pair, cfg)
+    val atK4 = retainedVectors(iimb.prepared)
+    val atK1 = retainedVectors(prepared)
+    // On iimb, k = 4 retains every candidate, so its pairs hold every
+    // dominator: k = 1 keeps those dominated in neither block.
+    assert(atK4.size == iimb.prepared.numCandidates)
+    val undominated = atK4.filter { case ((a, b), v) =>
+      !atK4.exists { case ((c, e), w) => (c == a || e == b) && PartialOrderPruning.strictlyDominates(w, v) }
+    }
+    assert(atK1.keySet == undominated.keySet && atK1.size < atK4.size)
+    val (got, want) = both(prepared, () => WorkerPool.fixedError(0.05, seed = 5L), cfg)
+    assert(got == want)
+    assert(got.matches.subsetOf(atK1.keySet) && got.prf.f1 > 0)
   }
 
   test("no isolated pairs: the classifier has nothing to classify") {

@@ -67,6 +67,12 @@ class RandomForestSpec extends PropSpec {
       new RandomForest().predictProb(Array(0.0))
     }
   }
+  test("a forest of no trees is rejected") {
+    intercept[IllegalArgumentException](new RandomForest(nTrees = 0))
+  }
+  test("a negative maxDepth is rejected") {
+    intercept[IllegalArgumentException](new RandomForest(maxDepth = -1))
+  }
 
   // Grids of few values make ties and duplicate rows common; the last one
   // adds signed zeros, infinities and NaN, whose midpoints can send every
@@ -190,6 +196,51 @@ class RandomForestSpec extends PropSpec {
       val ys = xs.map(x => (x(0) == 1.0) != (rnd.nextDouble() < 0.2))
       assert(new RandomForest(nTrees = 5).fit(xs, ys).groups == groupCount(xs, ys))
       assertSameForest(xs, ys, grid.map(v => Array(v, v)), nTrees = 50, maxDepth = 20, seed = rnd.nextLong())
+    }
+  }
+  test("continuous features of all-distinct values, alone and with 0/1 features: bit-equal to the reference") {
+    // A few hundred distinct values per continuous feature: deep nodes hold
+    // a few rows spread over many bins, most of them empty there.
+    forSeeds(6) { rnd =>
+      for ((continuous, binary) <- Seq((1, 0), (3, 0), (2, 4), (1, 12))) {
+        val d = continuous + binary
+        val n = 200 + rnd.nextInt(200)
+        val xs = Array.fill(n)(Array.tabulate(d)(f =>
+          if (f < continuous) rnd.nextGaussian() else if (rnd.nextDouble() < 0.3) 1.0 else 0.0))
+        for (f <- 0 until continuous) assert(xs.map(_(f)).distinct.length == n)
+        val ys = xs.map(x => (x(0) + (if (binary > 0) x(continuous) else 0.0) > 0.3) != (rnd.nextDouble() < 0.2))
+        val fresh = Array.fill(30)(Array.tabulate(d)(f =>
+          if (f < continuous) rnd.nextGaussian() else rnd.nextInt(2).toDouble))
+        assertSameForest(xs, ys, fresh, nTrees = 50, maxDepth = if (rnd.nextBoolean()) 4 else 20, seed = rnd.nextLong())
+      }
+    }
+  }
+  test("maxDepth = 0: every tree is its root leaf, bit-equal to the reference") {
+    val rnd = new scala.util.Random(7)
+    val (xs, ys) = separable(50, rnd)
+    assertSameForest(xs, ys, Array(Array(0.5, 0.5)), nTrees = 10, maxDepth = 0, seed = 3)
+  }
+  test("the forest's generator draws new java.util.Random(seed)'s nextInt(bound) stream") {
+    // Bounds just above 2^30 reject about half of their first draws.
+    val bounds = Seq(1) ++ (0 to 30).map(1 << _) ++ (1 to 2000) ++ ((1 << 30) + 1 to (1 << 30) + 500) ++
+      Seq(Int.MaxValue - 1, Int.MaxValue)
+    for (seed <- Seq(0L, 1L, 13L, -1L, Long.MinValue, Long.MaxValue, 0x5DEECE66DL)) {
+      val lcg = new RandomForest.Lcg(seed)
+      val javaRandom = new java.util.Random(seed)
+      for (bound <- bounds ++ bounds.reverse)
+        assert(lcg.nextInt(bound) == javaRandom.nextInt(bound), s"seed $seed, bound $bound")
+    }
+  }
+  test("the generator's array shuffle makes scala.util.Random.shuffle's permutation") {
+    for (seed <- 0L until 5L) {
+      val lcg = new RandomForest.Lcg(seed)
+      val scalaRandom = new scala.util.Random(seed)
+      for (d <- 0 to 20; _ <- 0 until 3) {
+        val a = Array.range(0, d)
+        lcg.shuffle(a)
+        assert(a.toSeq == scalaRandom.shuffle((0 until d).toList), s"seed $seed, d $d")
+      }
+      assert(lcg.nextInt(1000) == scalaRandom.nextInt(1000)) // the streams are still in step
     }
   }
   test("ragged training rows are rejected") {
