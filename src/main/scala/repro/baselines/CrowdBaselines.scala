@@ -51,10 +51,9 @@ object Hike {
     var questions = 0
     val matches = collection.mutable.Set.empty[Pair]
     val partitions = cands.groupBy(_.etype).toSeq.sortBy(_._1).flatMap {
-      case (t, ps) => ps.sortBy(c => (c.pair._1, c.pair._2))
-        .grouped(ChunkSize).zipWithIndex.map { case (g, i) => (s"$t-$i", g) }
+      case (_, ps) => ps.sortBy(c => (c.pair._1, c.pair._2)).grouped(ChunkSize)
     }
-    for ((_, part0) <- partitions) {
+    for (part0 <- partitions) {
       val part = part0.sortBy(-_.score)
       // Binary search for the first non-match position under monotonicity.
       var lo = 0
@@ -89,9 +88,7 @@ object Hike {
   */
 object Power {
   import CrowdBaselines._
-
-  private def dominates(a: Array[Double], b: Array[Double]): Boolean =
-    a.indices.forall(i => a(i) >= b(i))
+  import repro.core.graph.PartialOrderPruning.dominates
 
   // Buckets cut points per feature on vectors of at most 8 features (4
   // levels); one run asks at most MaxQuestions over all partitions.

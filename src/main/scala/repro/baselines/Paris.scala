@@ -47,8 +47,8 @@ object Paris {
     val (f2, r2f) = functionalities(kb2)
     val prop = collection.mutable.Map.empty[(Pair, Pair), Double]
     for ((s, d, rr1, rr2) <- edges) {
-      val wF = f1.getOrElse(rr1, 0.5) * f2.getOrElse(rr2, 0.5)
-      val wR = r1f.getOrElse(rr1, 0.5) * r2f.getOrElse(rr2, 0.5)
+      val wF = f1(rr1) * f2(rr2)
+      val wR = r1f(rr1) * r2f(rr2)
       prop((s, d)) = math.max(prop.getOrElse((s, d), 0.0), wF)
       prop((d, s)) = math.max(prop.getOrElse((d, s), 0.0), wR)
     }

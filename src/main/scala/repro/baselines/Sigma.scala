@@ -43,7 +43,7 @@ object Sigma {
     def score(p: Pair): Double = {
       val ns = nbrs.getOrElse(p, Nil)
       val g = if (ns.isEmpty) 0.0 else ns.count(matched.contains).toDouble / ns.size
-      Alpha * prior.getOrElse(p, 0.0) + (1 - Alpha) * g
+      Alpha * prior(p) + (1 - Alpha) * g
     }
 
     def commit(p: Pair): Unit = { matched += p; used1 += p._1; used2 += p._2 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.graph.PartialOrderPruning.dominates
 import repro.util.BipartiteMatching
 
 /** Evaluation metrics used across the paper's tables. */
@@ -40,11 +41,6 @@ object Metrics {
     val matches = vectors.filter(_._2).map(_._1).toArray
     val nonMatches = vectors.filterNot(_._2).map(_._1).toArray
     if (matches.isEmpty || nonMatches.isEmpty) return 0.0
-    def dominates(a: Array[Double], b: Array[Double]): Boolean = {
-      var i = 0
-      while (i < a.length) { if (a(i) < b(i)) return false; i += 1 }
-      true
-    }
     val adj = matches.map { m =>
       nonMatches.indices.filter(j => dominates(nonMatches(j), m)).toArray
     }

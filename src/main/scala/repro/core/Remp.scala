@@ -28,19 +28,23 @@ object Remp {
     case object MaxPr extends Selection
   }
 
+  /** The settings of a run. The thresholds of ER-graph construction (§IV)
+    * are fixed: candidate blocking's label Jaccard, attribute matching's
+    * least similarity and the literal similarity of sim_L.
+    */
   final case class Config(
       k: Int = 4,
       tau: Double = 0.9,
       mu: Int = 10,
-      jaccardThreshold: Double = 0.3,
-      attrMinSim: Double = 0.4,
-      literalThreshold: Double = 0.9,
       maxLoops: Int = 500,
       selection: Selection = Selection.Greedy) {
     require(tau > 0 && tau <= 1, s"tau must lie in (0, 1], got $tau")
     require(mu >= 1, s"mu must be at least 1, got $mu")
     require(k >= 1, s"k must be at least 1, got $k")
     require(maxLoops >= 0, s"maxLoops must not be negative, got $maxLoops")
+    val jaccardThreshold = 0.3
+    val attrMinSim = 0.4
+    val literalThreshold = 0.9
   }
 
   /** Everything computed before the first crowd round. All competing methods

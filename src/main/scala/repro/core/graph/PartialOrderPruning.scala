@@ -1,17 +1,17 @@
 package repro.core.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 /** Partial-order based pruning (§IV-D, Algorithm 1).
   *
-  * Every candidate pair gets a rank per side: min_rank₁ counts, within the
-  * block of pairs sharing the same KB1 entity, the vectors *strictly*
-  * dominating the pair's similarity vector (and symmetrically min_rank₂).
-  * A pair is pruned when max(min_rank₁, min_rank₂) ≥ k — it cannot be in the
-  * entity's top-k under any linearisation of the partial order. Pairs
-  * dominated by a pruned pair have strictly larger ranks, so the rank filter
-  * subsumes Algorithm 1's cascading removal (line 12).
+  * A pair's min_rank₁ counts, within the block of pairs sharing its KB1
+  * entity, the vectors *strictly* dominating its similarity vector (and
+  * symmetrically min_rank₂). A pair is pruned when max(min_rank₁, min_rank₂)
+  * ≥ k — it cannot be in the entity's top-k under any linearisation of the
+  * partial order. Pairs dominated by a pruned pair have strictly larger ranks,
+  * so the rank filter subsumes Algorithm 1's cascading removal (line 12).
+  * Each block emits only its pruned pairs; one anti-join removes them, and a
+  * pair pruned in both of its blocks is removed once.
   *
   * One pass is exact: ranking the retained pairs again counts dominating
   * vectors within a subset of each block, so no rank can rise and every
@@ -20,6 +20,13 @@ import org.apache.spark.sql.functions._
   * Input/output columns: [id1, id2, prior, exact, vec].
   */
 object PartialOrderPruning {
+
+  /** s ⪰ s′: componentwise ≥. */
+  def dominates(a: Array[Double], b: Array[Double]): Boolean = {
+    var i = 0
+    while (i < a.length) { if (a(i) < b(i)) return false; i += 1 }
+    true
+  }
 
   /** s ≻ s′: componentwise ≥ with at least one strict >. */
   def strictlyDominates(a: Seq[Double], b: Seq[Double]): Boolean = {
@@ -34,31 +41,20 @@ object PartialOrderPruning {
     ge && gt
   }
 
-  /** Algorithm 1: keep the pairs with max(min_rank₁, min_rank₂) < k. */
+  /** Algorithm 1: drop the pairs with max(min_rank₁, min_rank₂) ≥ k. */
   def prune(spark: SparkSession, candsWithVec: DataFrame, k: Int): DataFrame = {
     import spark.implicits._
     val vecs = candsWithVec.select($"id1", $"id2", $"vec").as[(Long, Long, Seq[Double])]
 
-    def ranksBy(key: ((Long, Long, Seq[Double])) => Long): DataFrame =
-      vecs.groupByKey(key)
-        .flatMapGroups { (_, it) =>
-          val block = it.toArray
-          block.iterator.map { case (id1, id2, v) =>
-            var r = 0
-            var j = 0
-            while (j < block.length) {
-              if (strictlyDominates(block(j)._3, v)) r += 1
-              j += 1
-            }
-            (id1, id2, r)
-          }
-        }
-        .toDF("id1", "id2", "rank")
+    // The pairs of each block that k or more pairs of the block strictly dominate.
+    def prunedIn(block: ((Long, Long, Seq[Double])) => Long): Dataset[(Long, Long)] =
+      vecs.groupByKey(block).flatMapGroups { (_, it) =>
+        val pairs = it.toArray
+        pairs.iterator.filter(p => pairs.count(o => strictlyDominates(o._3, p._3)) >= k)
+          .map(p => (p._1, p._2))
+      }
 
-    val r1 = ranksBy(_._1).withColumnRenamed("rank", "rank1")
-    val r2 = ranksBy(_._2).withColumnRenamed("rank", "rank2")
-    candsWithVec.join(r1, Seq("id1", "id2")).join(r2, Seq("id1", "id2"))
-      .filter(greatest($"rank1", $"rank2") < k)
-      .drop("rank1", "rank2")
+    val pruned = prunedIn(_._1).union(prunedIn(_._2)).toDF("id1", "id2")
+    candsWithVec.join(pruned, Seq("id1", "id2"), "left_anti")
   }
 }

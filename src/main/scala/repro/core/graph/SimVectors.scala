@@ -46,7 +46,7 @@ object SimVectors {
 
     val toVec = udf((comps: Seq[org.apache.spark.sql.Row]) => {
       val v = new Array[Double](dim)
-      if (comps != null) comps.foreach(r => v(r.getInt(0)) = r.getDouble(1))
+      comps.foreach(r => v(r.getInt(0)) = r.getDouble(1))
       v
     })
     candidates.join(comps, Seq("id1", "id2"), "left")

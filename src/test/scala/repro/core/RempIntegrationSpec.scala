@@ -2,7 +2,6 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.truth.WorkerPool
-import repro.synth.KBPairGen
 import repro.tables.Tables
 
 /** End-to-end integration of the full Remp pipeline on small synthetic

@@ -1,6 +1,5 @@
 package repro.core.graph
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 
 class PartialOrderPruningSpec extends SparkSpec {
@@ -47,6 +46,19 @@ class PartialOrderPruningSpec extends SparkSpec {
     val keptPairs = kept.map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(!keptPairs.contains((1L, 201L))) // rank2 = 4 ≥ k
     assert(keptPairs.contains((1L, 101L)))
+  }
+  test("a pair pruned in both of its blocks is dropped once") {
+    // (1, 101) has the least vector of its id1 block and of its id2 block,
+    // each of 5 pairs, so both blocks emit it.
+    val rows = Seq((1L, 101L, 0.5, false, Seq(0.05))) ++
+      (2 to 5).map(i => (1L, 100L + i, 0.5, false, Seq(i / 10.0))) ++
+      (2 to 5).map(i => (i.toLong, 101L, 0.5, false, Seq(i / 10.0)))
+    val in = df(rows)
+    val out = PartialOrderPruning.prune(spark, in, k = 4)
+    assert(out.schema == in.schema)
+    val kept = out.collect().toSeq.map(r =>
+      (r.getLong(0), r.getLong(1), r.getDouble(2), r.getBoolean(3), r.getSeq[Double](4)))
+    assert(kept.sortBy(p => (p._1, p._2)) == rows.tail.sortBy(p => (p._1, p._2)))
   }
   test("pruning is idempotent") {
     val rows = (1 to 8).map(i => (1L, 100L + i, 0.5, false, Seq(i / 10.0, i % 3 / 3.0)))

@@ -1,6 +1,6 @@
 package repro.core.prop
 
-import repro.{PropSpec, SparkSpec, TestKBs}
+import repro.{SparkSpec, TestKBs}
 import repro.core.graph.ERGraphBuilder
 import repro.core.prop.ConsistencyEstimator.Consistency
 

@@ -256,4 +256,16 @@ class RandomForestSpec extends PropSpec {
     intercept[IllegalArgumentException](f.predictProb(Array(0.5)))
     intercept[IllegalArgumentException](f.predictProb(Array(0.5, 0.5, 0.5)))
   }
+  test("forest fits separable binary features") {
+    val rnd = new scala.util.Random(5)
+    val xs = collection.mutable.ArrayBuffer.empty[Array[Double]]
+    val ys = collection.mutable.ArrayBuffer.empty[Boolean]
+    (0 until 117).foreach { _ =>
+      xs += (Array.fill(12)(if (rnd.nextDouble() < 0.75) 1.0 else 0.0) :+ 1.0); ys += true }
+    (0 until 277).foreach { _ =>
+      xs += (Array.fill(12)(if (rnd.nextDouble() < 0.08) 1.0 else 0.0) :+ 0.5); ys += false }
+    val f = new RandomForest(nTrees = 50).fit(xs.toArray, ys.toArray)
+    val acc = xs.zip(ys).count { case (x, y) => f.predict(x) == y }.toDouble / xs.size
+    assert(acc > 0.95, f"train acc $acc%.3f")
+  }
 }

@@ -13,7 +13,6 @@ class KBSpec extends SparkSpec {
     assert(TestKBs.isolatedEntities(kb1).count() == 0)
   }
   test("isolated entities are those in no relationship triple") {
-    import spark.implicits._
     val kb = KB.fromLocal(spark,
       Seq((1L, "a", "t"), (2L, "b", "t"), (3L, "c", "t")),
       Seq.empty,
