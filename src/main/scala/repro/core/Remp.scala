@@ -137,10 +137,8 @@ object Remp {
     val probEdges = NeighborPropagation.probabilisticEdges(
       spark, edges, retained.select("id1", "id2", "prior"), consistency).cache()
 
-    val inferred = DistantPropagation.inferredSets(
-      spark, probEdges, ERGraphBuilder.connectedVertices(retained, edges), cfg.tau).collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), ((r.getLong(2), r.getLong(3)), r.getDouble(4))))
-      .groupBy(_._1).view.mapValues(_.map(_._2).toSeq).toMap
+    val inferred = DistantPropagation.inferred(
+      probEdges, ERGraphBuilder.connectedVertices(retained, edges), cfg.tau)
 
     val rows = retained.select("id1", "id2", "prior", "vec").collect()
     val priors = rows.map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap

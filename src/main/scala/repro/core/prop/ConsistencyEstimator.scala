@@ -24,7 +24,10 @@ import repro.kb.KB
   */
 object ConsistencyEstimator {
 
-  final case class Consistency(eps1: Double, eps2: Double)
+  /** ε₁, ε₂ ∈ (0, 1): at 0 or 1, Eq. 9's ζ is 0 or ∞ and its marginals NaN. */
+  final case class Consistency(eps1: Double, eps2: Double) {
+    require(eps1 > 0 && eps1 < 1 && eps2 > 0 && eps2 < 1, s"eps must lie in (0, 1), got ($eps1, $eps2)")
+  }
 
   val Floor = 0.01
 

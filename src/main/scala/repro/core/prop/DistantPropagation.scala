@@ -14,26 +14,20 @@ import scala.collection.mutable
   * an exact Dijkstra on the driver that stops expanding at ζ, so paths of any
   * hop count are found. Only edges of length ≤ ζ can lie on such a path. When
   * every edge source is itself a source, as in `Remp.prepare`, each such edge
-  * is also a one-hop output row, so the collected graph is never larger than
-  * the result the caller collects anyway.
+  * is also a one-hop entry of the result, so the collected graph is never
+  * larger than the inferred sets.
   */
 object DistantPropagation {
 
   private type Pair = (Long, Long)
 
-  /** inferred(q) for every source, as [qId1, qId2, pId1, pId2, prob],
-    * including the trivial (q, q, 1) rows, sorted by (qId1, qId2, pId1, pId2).
+  /** inferred(q) for every source q: the (p, Pr[m_p|m_q]) with
+    * dist(q, p) ≤ ζ, in pair order, including (q, 1).
     *
     * `probEdges`: [srcId1, srcId2, dstId1, dstId2, prob];
     * `sources`:   [id1, id2] — the candidate question set C.
-    * The result is a local DataFrame.
     */
-  def inferredSets(
-      spark: SparkSession,
-      probEdges: DataFrame,
-      sources: DataFrame,
-      tau: Double): DataFrame = {
-    import spark.implicits._
+  def inferred(probEdges: DataFrame, sources: DataFrame, tau: Double): Map[Pair, Seq[(Pair, Double)]] = {
     val zeta = -math.log(tau) + 1e-12
     val edges = probEdges
       .filter(col("prob") > 0)
@@ -47,21 +41,24 @@ object DistantPropagation {
     val adj = edges.groupBy(_._1).view.mapValues(_.map(e => (e._2, e._3))).toMap
       .withDefaultValue(Array.empty[(Pair, Double)])
 
-    val rows = srcs.distinct.sorted.iterator.flatMap { case q @ (q1, q2) =>
-      boundedDijkstra(adj, q, zeta).iterator.map { case ((p1, p2), dist) =>
-        // StrictMath, like the Spark log() that computed the lengths: the
-        // same bits on every JVM, whatever its Math intrinsics.
-        (q1, q2, p1, p2, StrictMath.exp(-dist))
-      }
-    }.toSeq
-    rows.toDF("qId1", "qId2", "pId1", "pId2", "prob")
+    srcs.distinct.sorted.iterator.map(q => q -> boundedDijkstra(adj, q, zeta)).toMap
   }
 
-  /** Shortest distances ≤ `zeta` from `source`, as (vertex, dist) pairs in
+  /** `inferred` as local rows [qId1, qId2, pId1, pId2, prob] sorted by (q, p). Only the
+    * benchmark's replay of `prepare` (`perfbench/…/Replay.scala`) calls this view; it goes
+    * with that replay in ROADMAP direction 2's benchmark change. */
+  def inferredSets(spark: SparkSession, probEdges: DataFrame, sources: DataFrame, tau: Double): DataFrame = {
+    import spark.implicits._
+    inferred(probEdges, sources, tau).toSeq.sortBy(_._1).flatMap { case ((q1, q2), ps) =>
+      ps.map { case ((p1, p2), prob) => (q1, q2, p1, p2, prob) }
+    }.toDF("qId1", "qId2", "pId1", "pId2", "prob")
+  }
+
+  /** (p, exp(−dist(source, p))) for every vertex p with dist ≤ `zeta`, in
     * vertex order.
     */
   private def boundedDijkstra(
-      adj: Map[Pair, Array[(Pair, Double)]], source: Pair, zeta: Double): Array[(Pair, Double)] = {
+      adj: Map[Pair, Array[(Pair, Double)]], source: Pair, zeta: Double): Seq[(Pair, Double)] = {
     val dist = mutable.HashMap(source -> 0.0)
     val settled = mutable.HashSet.empty[Pair]
     val heap = mutable.PriorityQueue((0.0, source))(Ordering.by[(Double, Pair), Double](_._1).reverse)
@@ -77,6 +74,8 @@ object DistantPropagation {
         }
       }
     }
-    dist.toArray.sortBy(_._1)
+    // StrictMath, like the Spark log() that computed the lengths: the same
+    // bits on every JVM, whatever its Math intrinsics.
+    dist.toArray.sortBy(_._1).toSeq.map { case (p, d) => (p, StrictMath.exp(-d)) }
   }
 }

@@ -19,8 +19,8 @@ import repro.core.prop.ConsistencyEstimator.Consistency
   * (ε=0.9, priors 0.5 → Pr ≈ 0.99 / 0.01) is reproduced exactly in tests.
   *
   * Value sets are capped at `MaxSide` entities per side (kept by descending
-  * prior) to bound the enumeration; real neighbourhood products beyond that
-  * size carry negligible marginal information.
+  * prior) to bound the enumeration; a pair the cap cuts gets no posterior
+  * from that edge label, and no count records it (ROADMAP direction 5).
   */
 object NeighborPropagation {
 
@@ -104,9 +104,7 @@ object NeighborPropagation {
       .flatMapGroups { (src: (Long, Long), it: Iterator[(Long, Long, String, String, Long, Long, Double)]) =>
         val best = collection.mutable.HashMap.empty[(Long, Long), Double]
         for (((r1, r2), rows) <- it.toArray.groupBy(t => (t._3, t._4))) {
-          val eps = bc.value.getOrElse((r1, r2), Consistency(0.5, 0.5))
-          val e1 = math.min(1 - 1e-6, math.max(1e-6, eps.eps1))
-          val e2 = math.min(1 - 1e-6, math.max(1e-6, eps.eps2))
+          val Consistency(e1, e2) = bc.value.getOrElse((r1, r2), Consistency(0.5, 0.5))
           val zeta = e1 * e2 / ((1 - e1) * (1 - e2))
           // Sorted by destination: rows arrive in shuffle order, and the
           // floating-point sums in `marginals` follow the order of `pairs`.

@@ -69,6 +69,20 @@ class RempIntegrationSpec extends SparkSpec {
     assert(f1At(0.8) > f1At(0.2))
     assert(f1At(0.8) > 0.75, s"f1@80%=${f1At(0.8)}")
   }
+  test("propagateFromSeeds: a connected seed returns itself and its inferred list") {
+    val p = iimb.prepared
+    val (seed, list) = p.inferred.filter(_._2.size > 1).minBy(_._1)
+    assert(Remp.propagateFromSeeds(p, Set(seed)) == list.map(_._1).toSet + seed)
+  }
+  test("propagateFromSeeds: an isolated seed returns only itself") {
+    val seed = iimb.prepared.isolated.min
+    assert(Remp.propagateFromSeeds(iimb.prepared, Set(seed)) == Set(seed))
+  }
+  test("propagateFromSeeds: a seed that is not a retained pair returns only itself") {
+    val seed = (-1L, -1L)
+    assert(!iimb.prepared.priors.contains(seed))
+    assert(Remp.propagateFromSeeds(iimb.prepared, Set(seed)) == Set(seed))
+  }
   test("selection strategy variants run and produce sane results") {
     for (s <- Seq(Remp.Selection.MaxInf, Remp.Selection.MaxPr)) {
       val res = Remp.resolve(iimb.prepared, WorkerPool.oracle(), Remp.Config(selection = s))

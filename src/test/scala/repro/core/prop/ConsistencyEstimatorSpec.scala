@@ -14,6 +14,11 @@ class ConsistencyEstimatorSpec extends SparkSpec {
       rels)
   }
 
+  test("Consistency rejects an epsilon of 0 or 1") {
+    // At 0 or 1, Eq. 9's zeta is 0 or infinite and the marginals are NaN.
+    intercept[IllegalArgumentException](ConsistencyEstimator.Consistency(0.0, 0.5))
+    intercept[IllegalArgumentException](ConsistencyEstimator.Consistency(0.5, 1.0))
+  }
   test("perfectly consistent functional relationship gets high epsilon") {
     // 20 matched subjects, each with exactly one matched value on both sides
     val rels1 = (0 until 20).map(i => (i.toLong, "r1", 100L + i))
